@@ -33,7 +33,7 @@ from .image_io import (
 from .linalg import numerical_rank
 from .metrics import COMPARISON_CSV_HEADER, compare_methods, comparison_rows, psnr
 from .sampling import generate_mask
-from .solver import SplicConfig, splic_alternated, splic_complete
+from .solver import TV_MODES, SplicConfig, splic_alternated, splic_complete
 from .testimages import add_uniform_noise
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
     parser.add_argument("--epsilon", type=float, default=None)
     parser.add_argument("--maxiter", type=int, default=None)
     parser.add_argument("--inner-steps", type=int, default=None)
-    parser.add_argument("--tv-mode", choices=("exact", "paper"), default=None)
+    parser.add_argument("--tv-mode", choices=TV_MODES, default=None)
     parser.add_argument("--no-clamp", action="store_true")
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument(
@@ -121,18 +121,22 @@ def _planes_of(img: np.ndarray) -> list[np.ndarray]:
     return [img] if img.ndim == 2 else [img[c] for c in range(img.shape[0])]
 
 
-def _read_input(args) -> list[np.ndarray]:
-    p = Path(args.input)
-    if not p.is_file():
-        raise CliError(f"input file not found: {p}")
-    planes = _planes_of(read_image(p))
+def _read_planes(path, args, cfg) -> list[np.ndarray]:
+    """Image planes of `path`, corrupted first if --add-uniform-noise is set."""
+    planes = _planes_of(read_image(path))
     if args.add_uniform_noise is not None:
-        seed = args.seed if args.seed is not None else SplicConfig().seed
         planes = [
-            add_uniform_noise(pl, args.add_uniform_noise, seed + 7 * i)
+            add_uniform_noise(pl, args.add_uniform_noise, cfg.seed + 7 * i)
             for i, pl in enumerate(planes)
         ]
     return planes
+
+
+def _read_input(args, cfg) -> list[np.ndarray]:
+    p = Path(args.input)
+    if not p.is_file():
+        raise CliError(f"input file not found: {p}")
+    return _read_planes(p, args, cfg)
 
 
 def _stack(planes) -> np.ndarray:
@@ -154,9 +158,16 @@ def _write_traces(results, path):
         write_trace_csv(res.trace, path.with_suffix(f".c{i}{path.suffix}"))
 
 
+def _exit_code(args, converged: bool) -> int:
+    if args.strict and not converged:
+        print("did not converge within maxiter", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
+
+
 def cmd_complete(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args)
+    planes = _read_input(args, cfg)
     m, n = planes[0].shape
     if args.mask:
         mask = read_mask(args.mask)
@@ -166,10 +177,7 @@ def cmd_complete(args) -> int:
     _write_output([r.completed for r in results], args.output, cfg)
     if args.trace:
         _write_traces(results, args.trace)
-    if args.strict and not all(r.converged for r in results):
-        print("did not converge within maxiter", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(args, all(r.converged for r in results))
 
 
 def _defend_one(planes, cfg):
@@ -177,18 +185,16 @@ def _defend_one(planes, cfg):
 
 
 def cmd_defend(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _build_config(args)
     if args.batch:
         return _defend_batch(args, cfg)
-    planes = _read_input(args)
-    results = _defend_one(planes, cfg)
+    results = _defend_one(_read_input(args, cfg), cfg)
     _write_output([r.completed for r in results], args.output, cfg)
     if args.trace:
         _write_traces(results, args.trace)
-    if args.strict and not all(r.converged for r in results):
-        print("did not converge within maxiter", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(args, all(r.converged for r in results))
 
 
 def _defend_batch(args, cfg) -> int:
@@ -204,33 +210,25 @@ def _defend_batch(args, cfg) -> int:
         raise CliError(f"no PGM/PPM files in {in_dir}")
 
     def process(path):
-        planes = _planes_of(read_image(path))
-        if args.add_uniform_noise is not None:
-            planes = [
-                add_uniform_noise(pl, args.add_uniform_noise, cfg.seed + 7 * i)
-                for i, pl in enumerate(planes)
-            ]
-        results = _defend_one(planes, cfg)
+        results = _defend_one(_read_planes(path, args, cfg), cfg)
         _write_output([r.completed for r in results], out_dir / path.name, cfg)
-        return path.name, _stack([r.completed for r in results])
+        converged = all(r.converged for r in results)
+        return path.name, _stack([r.completed for r in results]), converged
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(process, files))
-    else:
-        outputs = [process(p) for p in files]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outputs = list(pool.map(process, files))
 
     if args.reference_dir:
         ref_dir = Path(args.reference_dir)
         lines = ["file,psnr_db"]
-        for name, completed in outputs:
+        for name, completed, _ in outputs:
             ref_path = ref_dir / name
             if not ref_path.is_file():
                 raise CliError(f"reference file missing: {ref_path}")
             lines.append(f"{name},{psnr(completed, read_image(ref_path))!r}")
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
         _atomic_write(summary, ("\n".join(lines) + "\n").encode())
-    return EXIT_OK
+    return _exit_code(args, all(converged for _, _, converged in outputs))
 
 
 def _parse_fractions(text) -> list[float]:
@@ -245,7 +243,7 @@ def _parse_fractions(text) -> list[float]:
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args)
+    planes = _read_input(args, cfg)
     if len(planes) != 1:
         raise CliError("compare works on single-channel images")
     corrupt = planes[0]
@@ -271,7 +269,7 @@ def cmd_compare(args) -> int:
 
 def cmd_rank_sweep(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args)
+    planes = _read_input(args, cfg)
     if len(planes) != 1:
         raise CliError("rank-sweep works on single-channel images")
     image = planes[0]
@@ -294,9 +292,7 @@ def cmd_rank_sweep(args) -> int:
         rank_out = numerical_rank(res.low_rank, 1e-6)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
-        comment = f"splic seed={run_cfg.seed} cfg-hash={_cfg_hash(run_cfg)}"
-        data = encode_image(res.low_rank, comments=[comment], clamp=True)
-        _atomic_write(out_dir / f"{stem}_r{r}.pgm", data)
+        _write_output([res.low_rank], out_dir / f"{stem}_r{r}.pgm", run_cfg)
     _atomic_write(Path(args.csv), ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 

@@ -26,10 +26,12 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD of an m x n matrix: U (m x l), sigma (l,), V (n x l), l = min(m, n).
+    """Thin SVD of an m x n matrix: U (m x l), sigma (l,), V (n x l), with
+    l = min(m, n), or l = r for the leading triplets kept by `top(r)`.
 
     sigma is non-increasing and non-negative; U and V have orthonormal
-    columns and reconstruct the source as U @ diag(sigma) @ V.T.
+    columns and reconstruct the source (after `top(r)`, its best rank-r
+    approximation) as U @ diag(sigma) @ V.T.
     """
 
     U: np.ndarray
@@ -39,6 +41,10 @@ class SvdFactors:
     @property
     def l(self) -> int:
         return self.sigma.shape[0]
+
+    def top(self, r: int) -> "SvdFactors":
+        """The leading r triplets: U[:, :r], sigma[:r], V[:, :r]."""
+        return SvdFactors(U=self.U[:, :r], sigma=self.sigma[:r], V=self.V[:, :r])
 
 
 def svd(x) -> SvdFactors:
@@ -64,12 +70,10 @@ def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:
 
 
 def truncate_rank(f: SvdFactors, r: int) -> np.ndarray:
-    """Rebuild the matrix with all singular values beyond the r-th zeroed."""
+    """Rebuild the matrix from its leading r singular triplets."""
     if not 1 <= r <= f.l:
         raise ValueError(f"rank r must be in [1, {f.l}], got {r}")
-    s = f.sigma.copy()
-    s[r:] = 0.0
-    return reconstruct(f, s)
+    return reconstruct(f.top(r))
 
 
 def numerical_rank(x, tol: float) -> int:

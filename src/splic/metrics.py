@@ -69,56 +69,32 @@ def compare_methods(
         masked = np.where(np.asarray(mask) == 1.0, np.asarray(x_corrupt), 0.0)
         tau = 0.05 * float(np.linalg.norm(masked, 2))
 
+    def solved(res):
+        return res.completed, res.low_rank, res.iterations
+
+    def baseline(z, iters=1):
+        return z, z, iters
+
+    # looked up per call, so instrumentation that rebinds these names sees them
+    calls = (
+        lambda: solved(splic_complete(x_corrupt, mask, cfg)),
+        lambda: solved(srf_only(x_corrupt, mask, cfg)),
+        lambda: baseline(*soft_impute_with_count(x_corrupt, mask, tau)),
+        lambda: baseline(usvt(x_corrupt, mask, eta)),
+    )
     results = []
-
-    start = time.perf_counter()
-    res = splic_complete(x_corrupt, mask, cfg)
-    results.append(
-        MethodResult(
-            method="splic",
-            psnr_db=psnr(res.completed, x_clean),
-            rank=numerical_rank(res.low_rank, rank_tol),
-            iters=res.iterations,
-            seconds=time.perf_counter() - start,
+    for method, call in zip(METHOD_NAMES, calls):
+        start = time.perf_counter()
+        completed, surface, iters = call()
+        results.append(
+            MethodResult(
+                method=method,
+                psnr_db=psnr(completed, x_clean),
+                rank=numerical_rank(surface, rank_tol),
+                iters=iters,
+                seconds=time.perf_counter() - start,
+            )
         )
-    )
-
-    start = time.perf_counter()
-    res = srf_only(x_corrupt, mask, cfg)
-    results.append(
-        MethodResult(
-            method="srf",
-            psnr_db=psnr(res.completed, x_clean),
-            rank=numerical_rank(res.low_rank, rank_tol),
-            iters=res.iterations,
-            seconds=time.perf_counter() - start,
-        )
-    )
-
-    start = time.perf_counter()
-    z, iters = soft_impute_with_count(x_corrupt, mask, tau)
-    results.append(
-        MethodResult(
-            method="soft-impute",
-            psnr_db=psnr(z, x_clean),
-            rank=numerical_rank(z, rank_tol),
-            iters=iters,
-            seconds=time.perf_counter() - start,
-        )
-    )
-
-    start = time.perf_counter()
-    z = usvt(x_corrupt, mask, eta)
-    results.append(
-        MethodResult(
-            method="usvt",
-            psnr_db=psnr(z, x_clean),
-            rank=numerical_rank(z, rank_tol),
-            iters=1,
-            seconds=time.perf_counter() - start,
-        )
-    )
-
     return results
 
 

@@ -1,19 +1,20 @@
 """Progressive smoothed-rank gradient projection with a TV penalty.
 
 One pass (`splic_complete`) starts from the anchor-masked image, and in
-blocks of `inner_steps` iterations: takes the SVD, hard-truncates the
-spectrum beyond the target rank and rebuilds the iterate, steps against
-the smoothed-rank and TV gradients, and projects anchor pixels back to
-their fixed values.  After each block the smoothness parameter delta
-shrinks by the factor rho, sharpening the rank surrogate; the run stops
-once the normalized change across a whole block drops below epsilon, or
-the iteration budget runs out.
+blocks of `inner_steps` iterations: takes the SVD, keeps its top-r
+singular triplets (r the target rank) and rebuilds the iterate from them,
+steps against the smoothed-rank and TV gradients, and projects anchor
+pixels back to their fixed values.  After each block the smoothness
+parameter delta shrinks by the factor rho, sharpening the rank surrogate;
+the run stops once the normalized change across a whole block drops below
+epsilon, or the iteration budget runs out.
 
 The rank-term step is preconditioned by delta^2: the raw surrogate
 gradient grows like 1/delta as delta shrinks, so a fixed step size would
 be inert at large delta and violently unstable once delta passes the
-smallest retained singular value.  With the preconditioner the update on
-each singular value is mu * sigma * exp(-sigma^2 / 2 delta^2), bounded by
+smallest retained singular value.  With the preconditioner the rank term
+moves each retained singular value as
+sigma * (1 - mu * exp(-sigma^2 / 2 delta^2)), a shrink of at most
 mu * sigma at every scale: large-delta blocks do strong global smoothing
 and the schedule then progressively freezes the retained structure.
 
@@ -25,7 +26,7 @@ so every pixel is re-estimated exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,11 +202,9 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     while block_rel > cfg.epsilon and t < cfg.maxiter:
         block_start = current
         for _ in range(cfg.inner_steps):
-            f = svd(current)
-            sigma_r = f.sigma.copy()
-            sigma_r[r:] = 0.0
-            truncated = reconstruct(f, sigma_r)
-            g_rank = srf_gradient(replace(f, sigma=sigma_r), delta)
+            f = svd(current).top(r)
+            truncated = reconstruct(f)
+            g_rank = srf_gradient(f, delta)
             g_tv = tv_grad(truncated)
             x_tilde = truncated - cfg.mu * (delta * delta * g_rank + cfg.lam * g_tv)
             x_next = np.where(anchor, arr, x_tilde)
@@ -215,7 +214,7 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
                     t=t,
                     delta=delta,
                     rel_change=relative_change(x_next, current),
-                    srf=srf_value_from_sigma(sigma_r, delta),
+                    srf=srf_value_from_sigma(f.sigma, delta),
                     tv=tv_value(x_next),
                 )
             )
@@ -225,10 +224,7 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
         block_rel = relative_change(current, block_start)
         delta = delta * cfg.rho
 
-    f_final = svd(current)
-    sigma_final = f_final.sigma.copy()
-    sigma_final[r:] = 0.0
-    low_rank = reconstruct(f_final, sigma_final)
+    low_rank = reconstruct(svd(current).top(r))
 
     completed = current
     if cfg.clamp_output:

@@ -20,16 +20,11 @@ def _check_delta(delta: float) -> float:
     return d
 
 
-def srf_value_from_sigma(sigma, delta: float, total: int | None = None) -> float:
-    """Surrogate value from a vector of singular values.
-
-    `total` is the nominal count l = min(m, n); it defaults to len(sigma)
-    and matters when a truncated sigma vector is passed.
-    """
+def srf_value_from_sigma(sigma, delta: float) -> float:
+    """Surrogate value from a vector of singular values."""
     d = _check_delta(delta)
     s = np.asarray(sigma, dtype=np.float64)
-    l = s.size if total is None else int(total)
-    return float(l - np.sum(np.exp(-(s**2) / (2.0 * d * d))))
+    return float(s.size - np.sum(np.exp(-(s**2) / (2.0 * d * d))))
 
 
 def srf_value(x, delta: float) -> float:

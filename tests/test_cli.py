@@ -238,3 +238,50 @@ def test_ppm_input_completes_per_channel(tmp_path):
     result = read_image(out)
     assert result.shape == (3, 24, 24)
     assert psnr(result, planes) > 30.0
+
+
+@pytest.fixture
+def batch_dir(tmp_path):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for i in range(2):
+        write_image(make_test_image(i, 24), in_dir / f"img{i}.pgm")
+    return in_dir
+
+
+def test_noise_seed_comes_from_config_in_single_and_batch_runs(tmp_path, batch_dir):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"seed": 5, "maxiter": 14}')
+    noise = ("--add-uniform-noise", "0.05", "--config", cfg_path)
+    single = tmp_path / "single.pgm"
+    code, _ = run_cli(
+        "defend", "--input", batch_dir / "img0.pgm", "--output", single, *noise
+    )
+    assert code == 0
+    code, _ = run_cli(
+        "defend", "--input", batch_dir, "--output", tmp_path / "out", "--batch", *noise
+    )
+    assert code == 0
+    assert single.read_bytes() == (tmp_path / "out" / "img0.pgm").read_bytes()
+
+
+def test_defend_batch_strict_exits_3_on_non_convergence(tmp_path, batch_dir):
+    out_dir = tmp_path / "out"
+    code, err = run_cli(
+        "defend", "--input", batch_dir, "--output", out_dir, "--batch",
+        "--maxiter", "7", "--strict",
+    )
+    assert code == 3
+    assert "converge" in err
+    assert sorted(p.name for p in out_dir.glob("*.pgm")) == ["img0.pgm", "img1.pgm"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_defend_batch_rejects_jobs_below_one(tmp_path, batch_dir, jobs):
+    code, err = run_cli(
+        "defend", "--input", batch_dir, "--output", tmp_path / "out", "--batch",
+        "--jobs", jobs,
+    )
+    assert code == 2
+    assert "--jobs must be at least 1" in err
+    assert not (tmp_path / "out").exists()

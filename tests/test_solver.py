@@ -13,9 +13,9 @@ from splic.solver import (
     splic_alternated,
     splic_complete,
 )
-from splic.srf import srf_gradient, srf_value
+from splic.srf import srf_gradient, srf_value, srf_value_from_sigma
 from splic.testimages import add_uniform_noise, balanced_low_rank, make_test_image
-from splic.tv import tv_gradient, tv_value
+from splic.tv import tv_gradient, tv_gradient_forward, tv_value
 
 
 def test_project_all_ones_returns_anchor_values(rng):
@@ -307,3 +307,56 @@ def test_alternated_uses_complement_mask_for_second_pass():
     assert np.array_equal(res.completed, second.completed)
     comp_anchors = complement(mask) == 1.0
     assert np.array_equal(res.completed[comp_anchors], first.completed[comp_anchors])
+
+
+def _full_spectrum_complete(x, mask, cfg):
+    """Reference loop that zero-pads the spectrum past rank r to full length
+    and rebuilds over all min(m, n) columns; returns the completed and
+    low-rank surfaces, the iteration count and the trace srf values."""
+    m, n = x.shape
+    r = cfg.resolve_rank(m, n)
+    anchor = mask == 1.0
+    tv_grad = {"exact": tv_gradient, "paper": tv_gradient_forward}[cfg.tv_mode]
+    current = np.where(anchor, x, 0.0)
+    delta = float(np.linalg.norm(current, 2))
+    srfs = []
+    t = 0
+    block_rel = np.inf
+    while block_rel > cfg.epsilon and t < cfg.maxiter:
+        block_start = current
+        for _ in range(cfg.inner_steps):
+            f = svd(current)
+            sigma_r = f.sigma.copy()
+            sigma_r[r:] = 0.0
+            truncated = reconstruct(f, sigma_r)
+            g_rank = srf_gradient(dataclasses.replace(f, sigma=sigma_r), delta)
+            x_tilde = truncated - cfg.mu * (
+                delta * delta * g_rank + cfg.lam * tv_grad(truncated)
+            )
+            current = np.where(anchor, x, x_tilde)
+            srfs.append(srf_value_from_sigma(sigma_r, delta))
+            t += 1
+        block_rel = relative_change(current, block_start)
+        delta *= cfg.rho
+    f = svd(current)
+    sigma_final = f.sigma.copy()
+    sigma_final[r:] = 0.0
+    completed = np.where(anchor, x, np.clip(current, 0.0, 1.0))
+    return completed, reconstruct(f, sigma_final), t, np.array(srfs)
+
+
+@pytest.mark.parametrize(
+    "shape, tv_mode, r",
+    [((32, 32), "exact", None), ((32, 32), "paper", 3), ((24, 40), "exact", 24)],
+)
+def test_top_r_step_matches_full_spectrum_reference(shape, tv_mode, r):
+    x = add_uniform_noise(make_test_image(3, shape), 0.03, 1)
+    mask = generate_mask(*shape, 0.5, 8)
+    cfg = SplicConfig(tv_mode=tv_mode, r=r)
+    completed, low_rank, iterations, srfs = _full_spectrum_complete(x, mask, cfg)
+    res = splic_complete(x, mask, cfg)
+    assert np.array_equal(res.completed, completed)
+    assert np.array_equal(res.low_rank, low_rank)
+    assert res.iterations == iterations
+    # only the summation order of the trace srf differs
+    assert np.max(np.abs(np.array([rec.srf for rec in res.trace]) - srfs)) <= 1e-12
