@@ -27,11 +27,13 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD of an m x n matrix: U (m x l), sigma (l,), V (n x l), with
-    l = min(m, n), or l = r for the leading triplets kept by `top(r)`.
+    l = min(m, n), or l = r for the leading triplets kept by `top(r)` or
+    returned by `svd(x, rank=r)`.
 
     sigma is non-increasing and non-negative; U and V have orthonormal
     columns and reconstruct the source (after `top(r)`, its best rank-r
-    approximation) as U @ diag(sigma) @ V.T.
+    approximation) as U @ diag(sigma) @ V.T.  Factors from the rank path
+    meet these contracts to the accuracy stated in `svd`.
     """
 
     U: np.ndarray
@@ -47,20 +49,50 @@ class SvdFactors:
         return SvdFactors(U=self.U[:, :r], sigma=self.sigma[:r], V=self.V[:, :r])
 
 
-def svd(x) -> SvdFactors:
+def _sign_fixed(u, sigma, v) -> SvdFactors:
+    """Flip each triplet so the largest-|.| entry of its U column is >= 0."""
+    pivot = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[pivot, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    return SvdFactors(U=u * signs, sigma=sigma, V=v * signs)
+
+
+def svd(x, rank: int | None = None) -> SvdFactors:
     """Thin SVD with a fixed sign convention for reproducibility.
 
     Each left singular vector is flipped so that its largest-magnitude
     entry is non-negative (the matching right vector is flipped with it),
     which makes the factors deterministic across runs.
+
+    rank=None takes the full spectrum from LAPACK.  rank=r returns only
+    the leading r triplets, read off the symmetric eigendecomposition of
+    the Gram matrix of the smaller side (X^T X if m >= n, else X X^T) of
+    X scaled by max|x|; the other factor is X V / sigma (a zero column
+    where sigma = 0).  Squaring the matrix costs accuracy in the small
+    singular values: |sigma_hat_k - sigma_k| is about eps * sigma_1^2 /
+    sigma_k, and the columns of U are orthonormal to the same relative
+    order.  That is ample for a well-separated top of the spectrum, but
+    callers that need the whole spectrum or singular values far below
+    sigma_1 must use the full path.
     """
     arr = as_matrix(x)
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    v = vt.T
-    # sign fix: largest-|.| entry of each column of U made non-negative
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[pivot, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-    return SvdFactors(U=u * signs, sigma=s, V=v * signs)
+    if rank is None:
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        return _sign_fixed(u, s, vt.T)
+    m, n = arr.shape
+    if not 1 <= rank <= min(m, n):
+        raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
+    # scaling by the largest entry keeps the squared entries finite
+    scale = float(np.max(np.abs(arr))) or 1.0
+    a = arr / scale
+    tall = m >= n
+    if not tall:
+        a = a.T
+    w, q = np.linalg.eigh(a.T @ a)
+    w, q = w[::-1][:rank], q[:, ::-1][:, :rank]
+    s = np.sqrt(np.maximum(w, 0.0))
+    p = np.divide(a @ q, s, out=np.zeros((a.shape[0], rank)), where=s > 0.0)
+    u, v = (p, q) if tall else (q, p)
+    return _sign_fixed(u, scale * s, v)
 
 
 def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Progressive smoothed-rank gradient projection with a TV penalty.
 
 One pass (`splic_complete`) starts from the anchor-masked image, and in
-blocks of `inner_steps` iterations: takes the SVD, keeps its top-r
-singular triplets (r the target rank) and rebuilds the iterate from them,
+blocks of `inner_steps` iterations: takes the top-r singular triplets
+(r the target rank) and rebuilds the iterate from them,
 steps against the smoothed-rank and TV gradients, and projects anchor
 pixels back to their fixed values.  After each block the smoothness
 parameter delta shrinks by the factor rho, sharpening the rank surrogate;
@@ -47,7 +47,8 @@ class SplicConfig:
     mu       gradient step size
     r        target rank; None means round_half_up(min(m, n) / 4)
     epsilon  stop threshold on the per-block ||X_after - X_before||_F / (m * n)
-    maxiter  iteration budget (inner steps counted, checked per block)
+    maxiter  iteration budget, exact: counts inner steps, so the last
+             block may be cut short
     inner_steps  iterations per fixed-delta block
     anchor_fraction  fraction of pixels held fixed (two-pass mode)
     seed     mask seed (two-pass mode)
@@ -74,6 +75,13 @@ class SplicConfig:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lam < 0.0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
+        # the TV Hessian has spectral norm below 8, so the explicit TV step
+        # x - mu * lam * grad is stable only while mu * lam <= 1/4
+        if self.mu * self.lam > 0.25:
+            raise ValueError(
+                f"mu * lambda must be at most 0.25 for a stable TV step, "
+                f"got {self.mu} * {self.lam} = {self.mu * self.lam}"
+            )
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.maxiter < 1:
@@ -201,8 +209,8 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     block_rel = math.inf
     while block_rel > cfg.epsilon and t < cfg.maxiter:
         block_start = current
-        for _ in range(cfg.inner_steps):
-            f = svd(current).top(r)
+        for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
+            f = svd(current, rank=r)
             truncated = reconstruct(f)
             g_rank = srf_gradient(f, delta)
             g_tv = tv_grad(truncated)
@@ -224,7 +232,7 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
         block_rel = relative_change(current, block_start)
         delta = delta * cfg.rho
 
-    low_rank = reconstruct(svd(current).top(r))
+    low_rank = reconstruct(svd(current, rank=r))
 
     completed = current
     if cfg.clamp_output:

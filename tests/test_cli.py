@@ -66,6 +66,16 @@ def test_bad_rho_exits_2_naming_constraint(tmp_path, scene_file):
     assert "rho" in err
 
 
+def test_unstable_tv_step_exits_2(tmp_path, scene_file):
+    out = tmp_path / "o.pgm"
+    code, err = run_cli(
+        "complete", "--input", scene_file, "--output", out, "--lambda", "0.6"
+    )
+    assert code == 2
+    assert "mu * lambda" in err
+    assert not out.exists()
+
+
 def test_explicit_mask_file(tmp_path, scene_file):
     mask = generate_mask(32, 32, 0.5, 3)
     mask_path = tmp_path / "m.pgm"

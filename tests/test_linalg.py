@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,81 @@ def test_svd_factor_invariants(x):
     assert np.all(f.sigma >= 0)
     norm = np.linalg.norm(x, "fro")
     assert np.linalg.norm(reconstruct(f) - x, "fro") <= 1e-10 * max(norm, 1.0)
+
+
+# a tall matrix (m > n) and a rank r in [1, n]; tests also use its transpose
+tall_with_rank = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(
+        st.integers(n + 1, 16).flatmap(
+            lambda m: st.lists(
+                st.floats(-10, 10, allow_nan=False), min_size=m * n, max_size=m * n
+            ).map(lambda v: np.array(v).reshape(m, n))
+        ),
+        st.integers(1, n),
+    )
+)
+
+
+@given(tall_with_rank)
+@settings(deadline=None, max_examples=60)
+def test_rank_svd_matches_lapack_top_r(case):
+    x, r = case
+    for y in (x, x.T):
+        got, ref = svd(y, rank=r), svd(y).top(r)
+        assert got.U.shape == ref.U.shape and got.V.shape == ref.V.shape
+        # the squared sigmas are Gram eigenvalues, accurate to eps * sigma_1^2,
+        # so a zero sigma_k comes out near sqrt(eps) * sigma_1
+        s1 = ref.sigma[0]
+        assert np.max(np.abs(got.sigma**2 - ref.sigma**2)) <= 1e-10 * s1 * s1
+        err = np.max(np.abs(reconstruct(got) - reconstruct(ref)))
+        assert err <= 1e-9 * max(np.linalg.norm(y, "fro"), 1.0)
+
+
+def test_rank_svd_accepts_full_rank(rng):
+    x = rng.standard_normal((9, 6))
+    for y in (x, x.T):
+        f = svd(y, rank=6)
+        assert f.l == 6
+        assert np.allclose(reconstruct(f), y, atol=1e-10)
+        assert np.allclose(f.sigma, svd(y).sigma, atol=1e-10)
+
+
+def test_rank_svd_rejects_out_of_range(rng):
+    x = rng.standard_normal((5, 7))
+    for r in (0, 6):
+        with pytest.raises(ValueError, match="rank"):
+            svd(x, rank=r)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.zeros((6, 4)),
+        np.full((4, 6), 0.5),
+        1e200 * np.random.default_rng(3).standard_normal((7, 5)),
+    ],
+    ids=["zero", "constant", "huge"],
+)
+def test_rank_svd_degenerate_inputs_are_finite(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = svd(x, rank=3)
+        rebuilt = reconstruct(f)
+    for arr in (f.U, f.sigma, f.V, rebuilt):
+        assert np.all(np.isfinite(arr))
+    ref = svd(x).top(3)
+    assert np.max(np.abs(f.sigma - ref.sigma)) <= 1e-7 * ref.sigma[0]
+    assert np.max(np.abs(rebuilt - reconstruct(ref))) <= 1e-9 * np.abs(x).max()
+
+
+def test_rank_svd_deterministic_with_sign_convention(rng):
+    x = rng.uniform(size=(9, 13))
+    a, b = svd(x, rank=4), svd(x, rank=4)
+    assert np.array_equal(a.U, b.U)
+    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.V, b.V)
+    pivots = np.argmax(np.abs(a.U), axis=0)
+    assert np.all(a.U[pivots, np.arange(4)] >= 0)
 
 
 def test_truncate_full_rank_is_identity():

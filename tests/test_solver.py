@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import splic.solver as solver_module
 from splic.linalg import numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
@@ -65,6 +66,15 @@ def test_config_validation():
         SplicConfig(tv_mode="fancy")
     with pytest.raises(ValueError, match="rank"):
         SplicConfig(r=0)
+
+
+def test_tv_step_bound_mu_times_lambda():
+    # the explicit TV step diverges once mu * lambda exceeds 1/4
+    assert SplicConfig(lam=0.5).lam == 0.5
+    with pytest.raises(ValueError, match="0.25"):
+        SplicConfig(lam=0.6)
+    with pytest.raises(ValueError, match="0.25"):
+        SplicConfig(lam=0.02, mu=13.0, tv_mode="paper")
 
 
 def test_default_rank_is_quarter_of_min_side():
@@ -216,6 +226,14 @@ def test_first_block_always_runs():
     assert res.iterations == SplicConfig().inner_steps
 
 
+def test_maxiter_budget_is_exact():
+    x = make_test_image(0, 24)
+    mask = generate_mask(24, 24, 0.5, 2)
+    res = splic_complete(x, mask, SplicConfig(maxiter=10))
+    assert res.iterations == len(res.trace) == 10
+    assert [rec.t for rec in res.trace] == list(range(1, 11))
+
+
 def test_non_convergence_is_reported_not_raised():
     x = make_test_image(0, 24)
     mask = generate_mask(24, 24, 0.5, 2)
@@ -309,6 +327,10 @@ def test_alternated_uses_complement_mask_for_second_pass():
     assert np.array_equal(res.completed[comp_anchors], first.completed[comp_anchors])
 
 
+def _lapack_top_r(x, rank):
+    return svd(x).top(rank)
+
+
 def _full_spectrum_complete(x, mask, cfg):
     """Reference loop that zero-pads the spectrum past rank r to full length
     and rebuilds over all min(m, n) columns; returns the completed and
@@ -349,7 +371,9 @@ def _full_spectrum_complete(x, mask, cfg):
     "shape, tv_mode, r",
     [((32, 32), "exact", None), ((32, 32), "paper", 3), ((24, 40), "exact", 24)],
 )
-def test_top_r_step_matches_full_spectrum_reference(shape, tv_mode, r):
+def test_top_r_step_matches_full_spectrum_reference(shape, tv_mode, r, monkeypatch):
+    # the LAPACK top-r triplets isolate the step from the SVD backend
+    monkeypatch.setattr(solver_module, "svd", _lapack_top_r)
     x = add_uniform_noise(make_test_image(3, shape), 0.03, 1)
     mask = generate_mask(*shape, 0.5, 8)
     cfg = SplicConfig(tv_mode=tv_mode, r=r)
@@ -360,3 +384,19 @@ def test_top_r_step_matches_full_spectrum_reference(shape, tv_mode, r):
     assert res.iterations == iterations
     # only the summation order of the trace srf differs
     assert np.max(np.abs(np.array([rec.srf for rec in res.trace]) - srfs)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, tv_mode",
+    [((128, 128), "exact"), ((128, 128), "paper"), ((64, 128), "exact")],
+)
+def test_gram_top_r_svd_matches_lapack_solve(shape, tv_mode, monkeypatch):
+    x = add_uniform_noise(make_test_image(5, shape), 0.03, 2)
+    mask = generate_mask(*shape, 0.5, 4)
+    cfg = SplicConfig(tv_mode=tv_mode)
+    res = splic_complete(x, mask, cfg)
+    monkeypatch.setattr(solver_module, "svd", _lapack_top_r)
+    ref = splic_complete(x, mask, cfg)
+    assert res.iterations == ref.iterations
+    assert np.max(np.abs(res.completed - ref.completed)) <= 1e-9
+    assert np.max(np.abs(res.low_rank - ref.low_rank)) <= 1e-9
