@@ -33,7 +33,13 @@ from .image_io import (
 from .linalg import numerical_rank
 from .metrics import COMPARISON_CSV_HEADER, compare_methods, comparison_rows, psnr
 from .sampling import generate_mask
-from .solver import TV_MODES, SplicConfig, splic_alternated, splic_complete
+from .solver import (
+    TV_MODES,
+    ConvergenceTrace,
+    SplicConfig,
+    splic_alternated,
+    splic_complete,
+)
 from .testimages import add_uniform_noise
 
 EXIT_OK = 0
@@ -117,45 +123,41 @@ def _build_config(args) -> SplicConfig:
         raise CliError(str(exc)) from exc
 
 
-def _planes_of(img: np.ndarray) -> list[np.ndarray]:
-    return [img] if img.ndim == 2 else [img[c] for c in range(img.shape[0])]
+def _read_image(path, args, cfg) -> np.ndarray:
+    """The (m, n) or (3, m, n) image at `path`; with --add-uniform-noise,
+    plane i is corrupted first, seeded with cfg.seed + 7 * i."""
+    img = read_image(path)
+    if args.add_uniform_noise is None:
+        return img
+    planes = img.reshape((-1,) + img.shape[-2:])
+    noisy = [
+        add_uniform_noise(pl, args.add_uniform_noise, cfg.seed + 7 * i)
+        for i, pl in enumerate(planes)
+    ]
+    return np.stack(noisy).reshape(img.shape)
 
 
-def _read_planes(path, args, cfg) -> list[np.ndarray]:
-    """Image planes of `path`, corrupted first if --add-uniform-noise is set."""
-    planes = _planes_of(read_image(path))
-    if args.add_uniform_noise is not None:
-        planes = [
-            add_uniform_noise(pl, args.add_uniform_noise, cfg.seed + 7 * i)
-            for i, pl in enumerate(planes)
-        ]
-    return planes
-
-
-def _read_input(args, cfg) -> list[np.ndarray]:
+def _read_input(args, cfg) -> np.ndarray:
     p = Path(args.input)
     if not p.is_file():
         raise CliError(f"input file not found: {p}")
-    return _read_planes(p, args, cfg)
+    return _read_image(p, args, cfg)
 
 
-def _stack(planes) -> np.ndarray:
-    return planes[0] if len(planes) == 1 else np.stack(planes)
-
-
-def _write_output(planes, path, cfg):
+def _write_output(image, path, cfg):
     comment = f"splic seed={cfg.seed} cfg-hash={_cfg_hash(cfg)}"
-    data = encode_image(_stack(planes), comments=[comment], clamp=True)
+    data = encode_image(image, comments=[comment], clamp=True)
     _atomic_write(Path(path), data)
 
 
-def _write_traces(results, path):
+def _write_traces(trace, path):
+    """One CSV for a plane's trace; `<stem>.c<i><suffix>` per plane of a stack."""
     path = Path(path)
-    if len(results) == 1:
-        write_trace_csv(results[0].trace, path)
+    if isinstance(trace, ConvergenceTrace):
+        write_trace_csv(trace, path)
         return
-    for i, res in enumerate(results):
-        write_trace_csv(res.trace, path.with_suffix(f".c{i}{path.suffix}"))
+    for i, plane_trace in enumerate(trace):
+        write_trace_csv(plane_trace, path.with_suffix(f".c{i}{path.suffix}"))
 
 
 def _exit_code(args, converged: bool) -> int:
@@ -167,21 +169,22 @@ def _exit_code(args, converged: bool) -> int:
 
 def cmd_complete(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args, cfg)
-    m, n = planes[0].shape
+    image = _read_input(args, cfg)
+    m, n = image.shape[-2:]
     if args.mask:
         mask = read_mask(args.mask)
     else:
         mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
-    results = [splic_complete(pl, mask, cfg) for pl in planes]
-    _write_output([r.completed for r in results], args.output, cfg)
+    res = splic_complete(image, mask, cfg)
+    _write_output(res.completed, args.output, cfg)
     if args.trace:
-        _write_traces(results, args.trace)
-    return _exit_code(args, all(r.converged for r in results))
+        _write_traces(res.trace, args.trace)
+    return _exit_code(args, res.converged)
 
 
-def _defend_one(planes, cfg):
-    return [splic_alternated(pl, cfg) for pl in planes]
+def _defend_one(image, cfg):
+    """Two-pass completion of one file's image, its planes solved as one stack."""
+    return splic_alternated(image, cfg)
 
 
 def cmd_defend(args) -> int:
@@ -190,45 +193,62 @@ def cmd_defend(args) -> int:
     cfg = _build_config(args)
     if args.batch:
         return _defend_batch(args, cfg)
-    results = _defend_one(_read_input(args, cfg), cfg)
-    _write_output([r.completed for r in results], args.output, cfg)
+    res = _defend_one(_read_input(args, cfg), cfg)
+    _write_output(res.completed, args.output, cfg)
     if args.trace:
-        _write_traces(results, args.trace)
-    return _exit_code(args, all(r.converged for r in results))
+        _write_traces(res.trace, args.trace)
+    return _exit_code(args, res.converged)
 
 
 def _defend_batch(args, cfg) -> int:
+    """Defend every image of a directory on a thread pool.
+
+    A file that fails (unreadable, malformed, unsolvable) is named on
+    stderr and left out of the outputs and the summary; every other file
+    is still written, and the run exits 2.
+    """
     in_dir = Path(args.input)
     if not in_dir.is_dir():
         raise CliError(f"--batch needs an input directory, got {in_dir}")
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(
         p for p in in_dir.iterdir() if p.suffix.lower() in IMAGE_SUFFIXES
     )
     if not files:
         raise CliError(f"no PGM/PPM files in {in_dir}")
+    ref_dir = Path(args.reference_dir) if args.reference_dir else None
+    if ref_dir is not None:
+        for path in files:
+            if not (ref_dir / path.name).is_file():
+                raise CliError(f"reference file missing: {ref_dir / path.name}")
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def process(path):
-        results = _defend_one(_read_planes(path, args, cfg), cfg)
-        _write_output([r.completed for r in results], out_dir / path.name, cfg)
-        converged = all(r.converged for r in results)
-        return path.name, _stack([r.completed for r in results]), converged
+        """(summary row or None, converged, error or None) for one file."""
+        try:
+            res = _defend_one(_read_image(path, args, cfg), cfg)
+            row = None
+            if ref_dir is not None:
+                quality = psnr(res.completed, read_image(ref_dir / path.name))
+                row = f"{path.name},{quality!r}"
+            _write_output(res.completed, out_dir / path.name, cfg)
+        except (ValueError, OSError) as exc:
+            return None, False, f"{path.name}: {exc}"
+        return row, res.converged, None
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outputs = list(pool.map(process, files))
+        outcomes = list(pool.map(process, files))
 
-    if args.reference_dir:
-        ref_dir = Path(args.reference_dir)
-        lines = ["file,psnr_db"]
-        for name, completed, _ in outputs:
-            ref_path = ref_dir / name
-            if not ref_path.is_file():
-                raise CliError(f"reference file missing: {ref_path}")
-            lines.append(f"{name},{psnr(completed, read_image(ref_path))!r}")
+    errors = [error for _, _, error in outcomes if error is not None]
+    if ref_dir is not None:
+        rows = [row for row, _, error in outcomes if error is None]
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
-        _atomic_write(summary, ("\n".join(lines) + "\n").encode())
-    return _exit_code(args, all(converged for _, _, converged in outputs))
+        _atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    if errors:
+        return EXIT_VALIDATION
+    return _exit_code(args, all(converged for _, converged, _ in outcomes))
 
 
 def _parse_fractions(text) -> list[float]:
@@ -243,10 +263,9 @@ def _parse_fractions(text) -> list[float]:
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args, cfg)
-    if len(planes) != 1:
+    corrupt = _read_input(args, cfg)
+    if corrupt.ndim != 2:
         raise CliError("compare works on single-channel images")
-    corrupt = planes[0]
     ref_path = Path(args.reference) if args.reference else Path(args.input)
     if not ref_path.is_file():
         raise CliError(f"reference file not found: {ref_path}")
@@ -269,10 +288,9 @@ def cmd_compare(args) -> int:
 
 def cmd_rank_sweep(args) -> int:
     cfg = _build_config(args)
-    planes = _read_input(args, cfg)
-    if len(planes) != 1:
+    image = _read_input(args, cfg)
+    if image.ndim != 2:
         raise CliError("rank-sweep works on single-channel images")
-    image = planes[0]
     m, n = image.shape
     try:
         ranks = [int(tok) for tok in args.ranks.split(",") if tok.strip()]
@@ -292,7 +310,7 @@ def cmd_rank_sweep(args) -> int:
         rank_out = numerical_rank(res.low_rank, 1e-6)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
-        _write_output([res.low_rank], out_dir / f"{stem}_r{r}.pgm", run_cfg)
+        _write_output(res.low_rank, out_dir / f"{stem}_r{r}.pgm", run_cfg)
     _atomic_write(Path(args.csv), ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,8 @@ TRACE_CSV_HEADER = "t,delta,rel_change,srf,tv"
 
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _BINARY_MAGICS = (b"P5", b"P6")
+# a '#' ends the token it touches and comments out the rest of its line
+_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
 class PnmParseError(ValueError):
@@ -90,6 +93,37 @@ class _Scanner:
         return value
 
 
+def _ascii_samples_scalar(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
+    """Read `count` ASCII samples in [0, maxval] one token at a time."""
+    values = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        values[i] = scanner.int_token(f"sample {i}", 0, maxval)
+    return values
+
+
+def _ascii_samples(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
+    """Read `count` ASCII samples in [0, maxval] from the scanner's position.
+
+    Splits the payload in one call (comments blanked first) and converts
+    with `int`, exactly as the token loop does.  If any token fails to
+    convert, too few are present or a value is out of range, the token
+    loop reruns and raises its error with the offending byte offset.
+    """
+    payload = scanner.data[scanner.pos :]
+    if b"#" in payload:
+        payload = _COMMENT.sub(b" ", payload)
+    tokens = payload.split(None, count)
+    if len(tokens) >= count:
+        try:
+            samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if samples.min() >= 0 and samples.max() <= maxval:
+                return samples
+    return _ascii_samples_scalar(scanner, count, maxval)
+
+
 def decode_image(data: bytes) -> np.ndarray:
     """Decode PGM/PPM bytes to a (m, n) plane or (3, m, n) channel stack."""
     scanner = _Scanner(data)
@@ -126,10 +160,7 @@ def decode_image(data: bytes) -> np.ndarray:
                 payload_at + bad * bytes_per,
             )
     else:
-        values = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            values[i] = scanner.int_token(f"sample {i}", 0, maxval)
-        samples = values
+        samples = _ascii_samples(scanner, count, maxval)
 
     flat = samples.astype(np.float64) / float(maxval)
     if channels == 1:

@@ -1,4 +1,9 @@
-"""Dense matrix validation and the SVD contract used by every other module."""
+"""Dense matrix validation and the SVD contract used by every other module.
+
+The rank-path SVD and `reconstruct` follow numpy's gufunc convention: an
+input of shape (..., m, n) is a stack of m x n matrices, each one handled
+exactly as it would be on its own.
+"""
 
 from __future__ import annotations
 
@@ -7,28 +12,38 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float array with both dims >= 2.
+def as_stack(x, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite float array of shape (..., m, n) with
+    m, n >= 2: one matrix, or a stack of them.
 
     Degenerate shapes (row/column vectors) are rejected here rather than
     given special handling downstream: the roughness penalty needs both
     image dimensions.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
+    if arr.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-D, got shape {arr.shape}")
+    if arr.shape[-2] < 2 or arr.shape[-1] < 2:
         raise ValueError(f"{name} must be at least 2x2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite 2-D float array with both dims >= 2."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    return as_stack(arr, name)
 
 
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD of an m x n matrix: U (m x l), sigma (l,), V (n x l), with
     l = min(m, n), or l = r for the leading triplets kept by `top(r)` or
-    returned by `svd(x, rank=r)`.
+    returned by `svd(x, rank=r)`.  For a (..., m, n) stack every factor
+    gains the same leading dimensions: U (..., m, l), sigma (..., l).
 
     sigma is non-increasing and non-negative; U and V have orthonormal
     columns and reconstruct the source (after `top(r)`, its best rank-r
@@ -42,17 +57,22 @@ class SvdFactors:
 
     @property
     def l(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
 
     def top(self, r: int) -> "SvdFactors":
-        """The leading r triplets: U[:, :r], sigma[:r], V[:, :r]."""
-        return SvdFactors(U=self.U[:, :r], sigma=self.sigma[:r], V=self.V[:, :r])
+        """The leading r triplets: U[..., :r], sigma[..., :r], V[..., :r]."""
+        return SvdFactors(
+            U=self.U[..., :r], sigma=self.sigma[..., :r], V=self.V[..., :r]
+        )
 
 
 def _sign_fixed(u, sigma, v) -> SvdFactors:
     """Flip each triplet so the largest-|.| entry of its U column is >= 0."""
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[pivot, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    m, l = u.shape[-2:]
+    flat = u.reshape(-1, m, l)
+    pivot = np.abs(flat).argmax(axis=1)
+    lead = flat[np.arange(flat.shape[0])[:, None], pivot, np.arange(l)]
+    signs = np.where(lead < 0.0, -1.0, 1.0).reshape(u.shape[:-2] + (1, l))
     return SvdFactors(U=u * signs, sigma=sigma, V=v * signs)
 
 
@@ -63,42 +83,50 @@ def svd(x, rank: int | None = None) -> SvdFactors:
     entry is non-negative (the matching right vector is flipped with it),
     which makes the factors deterministic across runs.
 
-    rank=None takes the full spectrum from LAPACK.  rank=r returns only
-    the leading r triplets, read off the symmetric eigendecomposition of
-    the Gram matrix of the smaller side (X^T X if m >= n, else X X^T) of
-    X scaled by max|x|; the other factor is X V / sigma (a zero column
-    where sigma = 0).  Squaring the matrix costs accuracy in the small
+    rank=None takes the full spectrum of one matrix from LAPACK.  rank=r
+    returns only the leading r triplets, read off the symmetric
+    eigendecomposition of the Gram matrix of the smaller side (X^T X if
+    m >= n, else X X^T) of X scaled by max|x|; the other factor is
+    X V / sigma (a zero column where sigma = 0).  The rank path also takes
+    a (..., m, n) stack and treats each matrix exactly as on its own,
+    with its own scale.  Squaring the matrix costs accuracy in the small
     singular values: |sigma_hat_k - sigma_k| is about eps * sigma_1^2 /
     sigma_k, and the columns of U are orthonormal to the same relative
     order.  That is ample for a well-separated top of the spectrum, but
     callers that need the whole spectrum or singular values far below
     sigma_1 must use the full path.
     """
-    arr = as_matrix(x)
     if rank is None:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        u, s, vt = np.linalg.svd(as_matrix(x), full_matrices=False)
         return _sign_fixed(u, s, vt.T)
-    m, n = arr.shape
+    arr = as_stack(x)
+    m, n = arr.shape[-2:]
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
     # scaling by the largest entry keeps the squared entries finite
-    scale = float(np.max(np.abs(arr))) or 1.0
+    scale = np.abs(arr).max(axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0
     a = arr / scale
     tall = m >= n
     if not tall:
-        a = a.T
-    w, q = np.linalg.eigh(a.T @ a)
-    w, q = w[::-1][:rank], q[:, ::-1][:, :rank]
+        a = np.swapaxes(a, -1, -2)
+    w, q = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)
+    w, q = w[..., ::-1][..., :rank], q[..., ::-1][..., :rank]
     s = np.sqrt(np.maximum(w, 0.0))
-    p = np.divide(a @ q, s, out=np.zeros((a.shape[0], rank)), where=s > 0.0)
+    p = np.divide(
+        a @ q,
+        s[..., None, :],
+        out=np.zeros(a.shape[:-1] + (rank,)),
+        where=s[..., None, :] > 0.0,
+    )
     u, v = (p, q) if tall else (q, p)
-    return _sign_fixed(u, scale * s, v)
+    return _sign_fixed(u, scale[..., 0] * s, v)
 
 
 def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:
     """Rebuild U @ diag(sigma) @ V.T (defaults to the factors' own sigma)."""
     s = f.sigma if sigma is None else np.asarray(sigma, dtype=np.float64)
-    return (f.U * s) @ f.V.T
+    return (f.U * s[..., None, :]) @ np.swapaxes(f.V, -1, -2)
 
 
 def truncate_rank(f: SvdFactors, r: int) -> np.ndarray:

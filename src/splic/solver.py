@@ -21,16 +21,24 @@ and the schedule then progressively freezes the retained structure.
 The two-pass scheme (`splic_alternated`) completes the target pixels
 first, then swaps the roles of anchors and targets and completes again,
 so every pixel is re-estimated exactly once.
+
+Both take an (m, n) image or a (k, m, n) stack of planes (the channels of
+a colour image) that share the mask, and step the whole stack in one
+loop, so the fixed cost of each numpy call is paid once per iteration
+rather than once per plane.  Each plane keeps its own delta and its own
+trace, and follows bit for bit the trajectory it would follow alone:
+after every block, a plane whose block change is <= epsilon, or that has
+used the budget, retires -- it is frozen and leaves the stack the loop
+steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, reconstruct, svd
+from .linalg import as_stack, reconstruct, svd
 from .sampling import complement, generate_mask, round_half_up, validate_mask
 from .srf import srf_gradient, srf_value_from_sigma
 from .tv import tv_gradient, tv_gradient_forward, tv_value
@@ -149,11 +157,15 @@ class CompletionResult:
                exactly, re-estimated pixels optionally clipped to [0, 1]
     low_rank   rank-r reduction of the final iterate (never clipped);
                this is the surface whose numerical rank is capped at r
+
+    For a (k, m, n) stack input both surfaces are (k, m, n), `trace` is a
+    tuple of k per-plane traces, `iterations` sums the planes' counts and
+    `converged` holds only if every plane converged.
     """
 
     completed: np.ndarray
     low_rank: np.ndarray
-    trace: ConvergenceTrace
+    trace: ConvergenceTrace | tuple[ConvergenceTrace, ...]
     iterations: int
     converged: bool
 
@@ -170,80 +182,132 @@ def project(x_tilde, x, mask) -> np.ndarray:
     return np.where(m == 1.0, xa, xt)
 
 
-def relative_change(x_new, x_old) -> float:
-    """Frobenius norm of the difference divided by m*n (not sqrt(m*n))."""
+def relative_change(x_new, x_old):
+    """Frobenius norm of the difference divided by m*n (not sqrt(m*n));
+    an array of one value per matrix for a (..., m, n) stack."""
     a = np.asarray(x_new, dtype=np.float64)
     b = np.asarray(x_old, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, "fro") / (a.shape[0] * a.shape[1]))
+    m, n = a.shape[-2:]
+    # sqrt of a dot per matrix, as np.linalg.norm(., "fro") computes it
+    rows = (a - b).reshape(-1, m * n)
+    squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
+    change = np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
+    return float(change) if change.ndim == 0 else change
 
 
 _TV_GRADIENTS = {"exact": tv_gradient, "paper": tv_gradient_forward}
 
 
+def _image_stack(x) -> tuple[np.ndarray, bool]:
+    """`x` as a C-ordered (k, m, n) stack of planes, and whether it was
+    given as one; an (m, n) image gives k = 1.
+
+    C order matters: a channel-last layout (as `read_image` returns for
+    colour) would carry into the iterates, and numpy multiplies such
+    strided planes outside BLAS, with different rounding.
+    """
+    arr = as_stack(x, "image")
+    if arr.ndim != 2 and (arr.ndim != 3 or arr.shape[0] == 0):
+        raise ValueError(
+            f"image must be (m, n) or a (k, m, n) stack with k >= 1, got shape {arr.shape}"
+        )
+    return np.ascontiguousarray(arr.reshape((-1,) + arr.shape[-2:])), arr.ndim == 3
+
+
 def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionResult:
     """Complete the non-anchor pixels of `x` by progressive rank smoothing.
 
+    `x` is an (m, n) image or a (k, m, n) stack of planes that share the
+    mask; the module docstring says how the planes of a stack retire.
+    For a stack, `completed` and `low_rank` are (k, m, n), `trace` is a
+    tuple of one ConvergenceTrace per plane, `iterations` is the total
+    over planes and `converged` means every plane converged.
+
     `on_iteration(t, x_hat)` is an optional instrumentation hook called
-    with each projected iterate; it must not mutate its argument.
+    with each projected iterate (for a stack, all k planes, retired ones
+    at their final value); it must not mutate its argument.
     """
-    arr = as_matrix(x, "image")
+    planes, stacked = _image_stack(x)
     m_bits = validate_mask(mask)
-    if m_bits.shape != arr.shape:
-        raise ValueError(f"mask shape {m_bits.shape} != image shape {arr.shape}")
-    m, n = arr.shape
+    k, m, n = planes.shape
+    if m_bits.shape != (m, n):
+        raise ValueError(f"mask shape {m_bits.shape} != image shape {(m, n)}")
     r = cfg.resolve_rank(m, n)
     anchor = m_bits == 1.0
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 
-    current = np.where(anchor, arr, 0.0)
-    delta = float(np.linalg.norm(current, 2))
-    if delta == 0.0:
+    current = np.where(anchor, planes, 0.0)
+    delta = np.linalg.norm(current, 2, axis=(-2, -1))
+    if np.any(delta == 0.0):
         raise ValueError(
             "anchor-masked image is identically zero; delta cannot be initialized"
         )
 
-    records = []
+    # `current`, `fixed` and `delta` hold the planes still running, whose
+    # indices are `live`; `final` collects each plane as it retires
+    final = np.empty_like(planes)
+    fixed = planes
+    live = np.arange(k)
+    records = [[] for _ in range(k)]
+    converged = np.zeros(k, dtype=bool)
     t = 0
-    block_rel = math.inf
-    while block_rel > cfg.epsilon and t < cfg.maxiter:
+    while live.size:
         block_start = current
+        dd = (delta * delta)[:, None, None]
+        block_planes = list(zip(live.tolist(), delta.tolist()))
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
             f = svd(current, rank=r)
             truncated = reconstruct(f)
             g_rank = srf_gradient(f, delta)
             g_tv = tv_grad(truncated)
-            x_tilde = truncated - cfg.mu * (delta * delta * g_rank + cfg.lam * g_tv)
-            x_next = np.where(anchor, arr, x_tilde)
+            x_tilde = truncated - cfg.mu * (dd * g_rank + cfg.lam * g_tv)
+            x_next = np.where(anchor, fixed, x_tilde)
             t += 1
-            records.append(
-                TraceRecord(
-                    t=t,
-                    delta=delta,
-                    rel_change=relative_change(x_next, current),
-                    srf=srf_value_from_sigma(f.sigma, delta),
-                    tv=tv_value(x_next),
-                )
+            columns = zip(
+                block_planes,
+                relative_change(x_next, current).tolist(),
+                srf_value_from_sigma(f.sigma, delta).tolist(),
+                tv_value(x_next).tolist(),
             )
+            for (p, d), rel, srf, tv in columns:
+                records[p].append(TraceRecord(t=t, delta=d, rel_change=rel, srf=srf, tv=tv))
             current = x_next
             if on_iteration is not None:
-                on_iteration(t, current)
+                frame = final.copy()
+                frame[live] = current
+                on_iteration(t, frame if stacked else frame[0])
         block_rel = relative_change(current, block_start)
         delta = delta * cfg.rho
+        done = block_rel <= cfg.epsilon
+        converged[live] = done
+        retire = done | (t >= cfg.maxiter)
+        if retire.any():
+            final[live[retire]] = current[retire]
+            keep = ~retire
+            current, fixed, delta, live = current[keep], fixed[keep], delta[keep], live[keep]
 
-    low_rank = reconstruct(svd(current, rank=r))
-
-    completed = current
+    low_rank = reconstruct(svd(final, rank=r))
+    completed = final
     if cfg.clamp_output:
-        completed = np.where(anchor, arr, np.clip(current, 0.0, 1.0))
+        completed = np.where(anchor, planes, np.clip(final, 0.0, 1.0))
 
+    traces = tuple(ConvergenceTrace(tuple(recs)) for recs in records)
+    if not stacked:
+        return CompletionResult(
+            completed=completed[0],
+            low_rank=low_rank[0],
+            trace=traces[0],
+            iterations=len(traces[0]),
+            converged=bool(converged[0]),
+        )
     return CompletionResult(
         completed=completed,
         low_rank=low_rank,
-        trace=ConvergenceTrace(tuple(records)),
-        iterations=t,
-        converged=block_rel <= cfg.epsilon,
+        trace=traces,
+        iterations=sum(len(trace) for trace in traces),
+        converged=bool(converged.all()),
     )
 
 
@@ -254,18 +318,27 @@ def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult
     mask, anchoring the pass-1 estimates and re-estimating the original
     anchors.  Each pass restarts the delta schedule from its own input;
     the traces are concatenated (the restart is visible as a delta jump).
+    A (k, m, n) stack shares the mask across its planes and gives results
+    shaped as `splic_complete` gives them for a stack.
     """
-    arr = as_matrix(x, "image")
-    m, n = arr.shape
+    arr = as_stack(x, "image")
+    m, n = arr.shape[-2:]
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
     first = splic_complete(arr, mask, cfg, on_iteration=on_iteration)
     second = splic_complete(
         first.completed, complement(mask), cfg, on_iteration=on_iteration
     )
+    if arr.ndim == 2:
+        trace = ConvergenceTrace(first.trace.records + second.trace.records)
+    else:
+        trace = tuple(
+            ConvergenceTrace(a.records + b.records)
+            for a, b in zip(first.trace, second.trace)
+        )
     return CompletionResult(
         completed=second.completed,
         low_rank=second.low_rank,
-        trace=ConvergenceTrace(first.trace.records + second.trace.records),
+        trace=trace,
         iterations=first.iterations + second.iterations,
         converged=first.converged and second.converged,
     )

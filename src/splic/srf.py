@@ -4,6 +4,10 @@ For singular values sigma_1..sigma_l the surrogate is
 l - sum_k exp(-sigma_k^2 / (2 delta^2)).  It tends to the exact rank as
 delta -> 0 and to zero as delta -> infinity, and is differentiable in the
 matrix entries away from singular-value ties.
+
+`srf_value_from_sigma` and `srf_gradient` also take stacks, in numpy's
+gufunc style: sigma of shape (..., l) with delta a scalar or of shape
+(...), one delta per matrix.
 """
 
 from __future__ import annotations
@@ -13,18 +17,22 @@ import numpy as np
 from .linalg import SvdFactors, as_matrix, svd
 
 
-def _check_delta(delta: float) -> float:
-    d = float(delta)
-    if not (d > 0.0 and np.isfinite(d)):
+def _check_delta(delta) -> np.ndarray:
+    """delta as an array with a trailing axis, to broadcast against sigma."""
+    d = np.asarray(delta, dtype=np.float64)
+    # a NaN fails the first test, +inf the second
+    if not (d.min() > 0.0 and d.max() < np.inf):
         raise ValueError(f"delta must be a positive finite real, got {delta}")
-    return d
+    return d[..., None]
 
 
-def srf_value_from_sigma(sigma, delta: float) -> float:
-    """Surrogate value from a vector of singular values."""
+def srf_value_from_sigma(sigma, delta):
+    """Surrogate value from a vector of singular values; an array of
+    values for a (..., l) stack of them."""
     d = _check_delta(delta)
     s = np.asarray(sigma, dtype=np.float64)
-    return float(s.size - np.sum(np.exp(-(s**2) / (2.0 * d * d))))
+    value = s.shape[-1] - np.exp(-(s**2) / (2.0 * d * d)).sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def srf_value(x, delta: float) -> float:
@@ -48,7 +56,7 @@ def srf_gradient(f: SvdFactors, delta: float) -> np.ndarray:
         e = np.exp(-(s**2) / (2.0 * d * d))
         raw = s / (d * d) * e
     g = np.where(e > 0.0, raw, 0.0)
-    return (f.U * g) @ f.V.T
+    return (f.U * g[..., None, :]) @ np.swapaxes(f.V, -1, -2)
 
 
 def srf_gradient_matrix(x, delta: float) -> np.ndarray:

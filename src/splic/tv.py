@@ -6,21 +6,26 @@ gradients are provided: `tv_gradient` is the true derivative of
 the terms in which a pixel is the minuend (it drops backward-neighbour
 contributions, so its entries do not sum to zero).  The solver selects
 between them via `tv_mode` ("exact" / "paper").
+
+All three take a (..., m, n) stack in numpy's gufunc style and treat each
+matrix as on its own; `tv_value` then returns one value per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_stack
 
 
-def tv_value(x) -> float:
+def tv_value(x):
     """Sum of half-squared forward differences along rows and columns."""
-    arr = as_matrix(x)
-    dv = arr[:-1, :] - arr[1:, :]
-    dh = arr[:, :-1] - arr[:, 1:]
-    return float(0.5 * (np.sum(dv * dv) + np.sum(dh * dh)))
+    arr = as_stack(x)
+    dv = arr[..., :-1, :] - arr[..., 1:, :]
+    dh = arr[..., :, :-1] - arr[..., :, 1:]
+    axes = (-2, -1)
+    value = 0.5 * ((dv * dv).sum(axis=axes) + (dh * dh).sum(axis=axes))
+    return float(value) if value.ndim == 0 else value
 
 
 def tv_gradient(x) -> np.ndarray:
@@ -29,14 +34,14 @@ def tv_gradient(x) -> np.ndarray:
     Every forward difference d = a - b contributes +d to the gradient at
     a and -d at b, which is what makes the total shift-invariant.
     """
-    arr = as_matrix(x)
+    arr = as_stack(x)
     g = np.zeros_like(arr)
-    dv = arr[:-1, :] - arr[1:, :]
-    dh = arr[:, :-1] - arr[:, 1:]
-    g[:-1, :] += dv
-    g[1:, :] -= dv
-    g[:, :-1] += dh
-    g[:, 1:] -= dh
+    dv = arr[..., :-1, :] - arr[..., 1:, :]
+    dh = arr[..., :, :-1] - arr[..., :, 1:]
+    g[..., :-1, :] += dv
+    g[..., 1:, :] -= dv
+    g[..., :, :-1] += dh
+    g[..., :, 1:] -= dh
     return g
 
 
@@ -48,9 +53,9 @@ def tv_gradient_forward(x) -> np.ndarray:
     has no forward neighbour in either direction and is set to 0, the only
     choice that reads no out-of-range neighbour.
     """
-    arr = as_matrix(x)
+    arr = as_stack(x)
     g = np.zeros_like(arr)
-    g[:-1, :-1] = 2.0 * arr[:-1, :-1] - arr[1:, :-1] - arr[:-1, 1:]
-    g[-1, :-1] = arr[-1, :-1] - arr[-1, 1:]
-    g[:-1, -1] = arr[:-1, -1] - arr[1:, -1]
+    g[..., :-1, :-1] = 2.0 * arr[..., :-1, :-1] - arr[..., 1:, :-1] - arr[..., :-1, 1:]
+    g[..., -1, :-1] = arr[..., -1, :-1] - arr[..., -1, 1:]
+    g[..., :-1, -1] = arr[..., :-1, -1] - arr[..., 1:, -1]
     return g

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from splic.cli import main
-from splic.image_io import read_image, write_image, write_mask
+from splic.image_io import read_image, write_image, write_mask, write_trace_csv
 from splic.linalg import numerical_rank
 from splic.metrics import psnr
 from splic.sampling import generate_mask
+from splic.solver import SplicConfig, splic_complete
 from splic.testimages import add_uniform_noise, make_test_image
 
 
@@ -295,3 +296,80 @@ def test_defend_batch_rejects_jobs_below_one(tmp_path, batch_dir, jobs):
     assert code == 2
     assert "--jobs must be at least 1" in err
     assert not (tmp_path / "out").exists()
+
+
+def _mixed_dir(tmp_path):
+    """Grey and colour files, ASCII and binary, with a matching reference dir."""
+    in_dir, ref_dir = tmp_path / "in", tmp_path / "ref"
+    in_dir.mkdir()
+    ref_dir.mkdir()
+    for i in range(4):
+        scene = make_test_image(10 + i, (20, 20 + 4 * i))
+        img = np.stack([scene, scene ** 2, 1.0 - scene]) if i % 2 else scene
+        name = f"img{i}" + (".ppm" if i % 2 else ".pgm")
+        fmt = ("P3" if i % 2 else "P2") if i < 2 else None
+        write_image(img, in_dir / name, fmt=fmt)
+        write_image(img, ref_dir / name)
+    return in_dir, ref_dir
+
+
+def test_defend_batch_output_independent_of_jobs(tmp_path):
+    in_dir, ref_dir = _mixed_dir(tmp_path)
+    outputs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code, _ = run_cli(
+            "defend", "--input", in_dir, "--output", out_dir, "--batch",
+            "--reference-dir", ref_dir, "--jobs", jobs, "--seed", "2",
+            "--add-uniform-noise", "0.04",
+        )
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert sorted(outputs[0]) == ["img0.pgm", "img1.ppm", "img2.pgm", "img3.ppm", "summary.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
+    planes = np.stack([make_test_image(i, (20, 28)) for i in range(3)])
+    src = tmp_path / "col.ppm"
+    write_image(planes, src)
+    code, _ = run_cli(
+        "complete", "--input", src, "--output", tmp_path / "o.ppm", "--seed", "6",
+        "--trace", tmp_path / "t.csv",
+    )
+    assert code == 0
+    cfg = SplicConfig(seed=6)
+    mask = generate_mask(20, 28, cfg.anchor_fraction, cfg.seed)
+    for i, plane in enumerate(read_image(src)):
+        solo = tmp_path / f"solo{i}.csv"
+        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo)
+        assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
+
+
+def test_defend_batch_isolates_a_corrupt_file(tmp_path):
+    in_dir, ref_dir = _mixed_dir(tmp_path)
+    (in_dir / "img1.ppm").write_bytes(b"P3\n20 24\n255\n0 1 x\n")
+    out_dir = tmp_path / "out"
+    code, err = run_cli(
+        "defend", "--input", in_dir, "--output", out_dir, "--batch",
+        "--reference-dir", ref_dir, "--jobs", "2", "--maxiter", "14",
+    )
+    assert code == 2
+    assert "img1.ppm" in err and "not an integer" in err
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert written == ["img0.pgm", "img2.pgm", "img3.ppm", "summary.csv"]
+    rows = list(csv.DictReader((out_dir / "summary.csv").open()))
+    assert [r["file"] for r in rows] == ["img0.pgm", "img2.pgm", "img3.ppm"]
+
+
+def test_defend_batch_missing_reference_writes_nothing(tmp_path):
+    in_dir, ref_dir = _mixed_dir(tmp_path)
+    (ref_dir / "img3.ppm").unlink()
+    out_dir = tmp_path / "out"
+    code, err = run_cli(
+        "defend", "--input", in_dir, "--output", out_dir, "--batch",
+        "--reference-dir", ref_dir,
+    )
+    assert code == 2
+    assert "reference file missing" in err and "img3.ppm" in err
+    assert not out_dir.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splic import image_io
 from splic.image_io import (
     ConfigError,
     PnmParseError,
@@ -144,6 +145,64 @@ def test_parser_total_with_valid_prefix(suffix):
         decode_image(b"P5\n2 2\n255\n" + suffix)
     except PnmParseError:
         pass
+
+
+_ASCII_TOKENS = st.sampled_from(
+    [b"0", b"7", b"255", b"256", b"65535", b"65536", b"+5", b"-3", b"1_0", b"_1",
+     b"0x1f", b"x", b"12#c", b"#note", b"99999999999999999999999", b"\xff", b"007"]
+)
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"  \n", b"#c \n"])
+_ASCII_PAYLOADS = st.lists(
+    st.tuples(_ASCII_TOKENS | st.binary(min_size=1, max_size=3), _SEPARATORS), max_size=14
+).map(lambda parts: b"".join(tok + sep for tok, sep in parts))
+
+
+def _read_samples(read, payload, count, maxval):
+    try:
+        return read(image_io._Scanner(payload), count, maxval).tolist()
+    except PnmParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@given(_ASCII_PAYLOADS, st.integers(1, 12), st.sampled_from([1, 7, 255, 65535]))
+@settings(deadline=None, max_examples=400)
+def test_ascii_samples_match_token_loop(payload, count, maxval):
+    # same values, or the same error message and byte offset
+    assert _read_samples(image_io._ascii_samples, payload, count, maxval) == (
+        _read_samples(image_io._ascii_samples_scalar, payload, count, maxval)
+    )
+
+
+def test_ascii_samples_fall_back_for_error_offsets():
+    with pytest.raises(PnmParseError, match="sample 2 is not an integer") as err:
+        decode_image(b"P2\n2 2\n255\n0 1 # x\nz 3\n")
+    assert err.value.offset == 19
+    with pytest.raises(PnmParseError, match="sample 1 256 out of range") as err:
+        decode_image(b"P2\n2 2\n255\n0 256 1 2\n")
+    assert err.value.offset == 13
+    with pytest.raises(PnmParseError, match="missing sample 3"):
+        decode_image(b"P2\n2 2\n255\n0 1 2")
+
+
+def test_ascii_comments_stay_on_the_split_path(monkeypatch):
+    def token_loop(*args):
+        raise AssertionError("token loop used for a valid payload")
+
+    monkeypatch.setattr(image_io, "_ascii_samples_scalar", token_loop)
+    img = decode_image(b"P3\n1 1\n255\n1#a 2\n2 # b 9\r+3 7\n")
+    assert np.array_equal(img.reshape(-1) * 255, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("prefix", [b"P2\n2 2\n255\n", b"P3\n2 1\n7\n"])
+@given(suffix=st.binary(max_size=40) | _ASCII_PAYLOADS)
+@settings(deadline=None, max_examples=150)
+def test_parser_total_with_valid_ascii_prefix(prefix, suffix):
+    try:
+        img = decode_image(prefix + suffix)
+    except PnmParseError:
+        return
+    assert img.shape in ((2, 2), (3, 1, 2))
+    assert np.all((img >= 0.0) & (img <= 1.0))
 
 
 def test_mask_roundtrip(tmp_path):

@@ -213,3 +213,24 @@ def test_as_matrix_rejects_degenerate():
         as_matrix(np.ones((1, 5)))
     with pytest.raises(ValueError):
         as_matrix(np.ones(4))
+
+
+@pytest.mark.parametrize("shape, rank", [((3, 12, 7), 3), ((2, 6, 10), 6), ((2, 2, 5, 5), 2)])
+def test_rank_path_on_a_stack_equals_each_matrix_alone(rng, shape, rank):
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    x[(0,) * (len(shape) - 2)] = 0.0  # a zero matrix keeps its own unit scale
+    f = svd(x, rank=rank)
+    assert f.U.shape == shape[:-1] + (rank,) and f.l == rank
+    rebuilt = reconstruct(f)
+    for idx in np.ndindex(shape[:-2]):
+        alone = svd(x[idx], rank=rank)
+        assert np.array_equal(f.U[idx], alone.U)
+        assert np.array_equal(f.sigma[idx], alone.sigma)
+        assert np.array_equal(f.V[idx], alone.V)
+        assert np.array_equal(rebuilt[idx], reconstruct(alone))
+        assert np.array_equal(f.top(1).U[idx], alone.top(1).U)
+
+
+def test_full_path_takes_one_matrix():
+    with pytest.raises(ValueError, match="2-D"):
+        svd(np.ones((2, 3, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
-from splic.linalg import numerical_rank, reconstruct, svd
+from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import (
@@ -328,7 +328,9 @@ def test_alternated_uses_complement_mask_for_second_pass():
 
 
 def _lapack_top_r(x, rank):
-    return svd(x).top(rank)
+    """LAPACK top-r triplets of each plane of the (k, m, n) stack the solver steps."""
+    tops = [svd(plane).top(rank) for plane in x]
+    return SvdFactors(*(np.stack(parts) for parts in zip(*((f.U, f.sigma, f.V) for f in tops))))
 
 
 def _full_spectrum_complete(x, mask, cfg):
@@ -400,3 +402,108 @@ def test_gram_top_r_svd_matches_lapack_solve(shape, tv_mode, monkeypatch):
     assert res.iterations == ref.iterations
     assert np.max(np.abs(res.completed - ref.completed)) <= 1e-9
     assert np.max(np.abs(res.low_rank - ref.low_rank)) <= 1e-9
+
+
+def _noisy_planes(shape, seed):
+    """Three planes with different noise, so they retire in different blocks."""
+    return np.stack(
+        [add_uniform_noise(make_test_image(seed + j, shape), 0.04 * j, j) for j in range(3)]
+    )
+
+
+def _assert_stack_equals_solo(stacked, solos):
+    assert stacked.iterations == sum(s.iterations for s in solos)
+    assert stacked.converged == all(s.converged for s in solos)
+    assert len(stacked.trace) == len(solos)
+    for j, solo in enumerate(solos):
+        assert np.array_equal(stacked.completed[j], solo.completed)
+        assert np.array_equal(stacked.low_rank[j], solo.low_rank)
+        assert len(stacked.trace[j]) == solo.iterations
+        assert stacked.trace[j].records == solo.trace.records
+
+
+@pytest.mark.parametrize(
+    "shape, tv_mode, maxiter",
+    [((32, 32), "exact", 210), ((32, 32), "paper", 210), ((24, 40), "exact", 55)],
+)
+def test_stack_solve_equals_solo_solves(shape, tv_mode, maxiter):
+    planes = _noisy_planes(shape, 2)
+    mask = generate_mask(*shape, 0.5, 5)
+    cfg = SplicConfig(tv_mode=tv_mode, maxiter=maxiter)
+    solos = [splic_complete(plane, mask, cfg) for plane in planes]
+    # the planes stop in different blocks, or some at the budget
+    assert len({s.iterations for s in solos}) > 1
+    if maxiter < 210:
+        # one plane converges first, two are cut mid-block by the budget
+        assert [s.iterations for s in solos] == [49, maxiter, maxiter]
+        assert not solos[2].converged
+    stacked = splic_complete(planes, mask, cfg)
+    assert stacked.completed.shape == stacked.low_rank.shape == planes.shape
+    _assert_stack_equals_solo(stacked, solos)
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (20, 32)])
+def test_stack_alternated_equals_solo(shape):
+    planes = _noisy_planes(shape, 7)
+    cfg = SplicConfig(seed=3, tv_mode="paper")
+    solos = [splic_alternated(plane, cfg) for plane in planes]
+    _assert_stack_equals_solo(splic_alternated(planes, cfg), solos)
+
+
+def test_channel_last_stack_equals_solo_solves():
+    # the layout read_image gives colour files: each plane is strided
+    planes = _noisy_planes((20, 28), 4)
+    channel_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), -1, 0)
+    mask = generate_mask(20, 28, 0.5, 6)
+    cfg = SplicConfig(maxiter=28)
+    solos = [splic_complete(plane, mask, cfg) for plane in channel_last]
+    _assert_stack_equals_solo(splic_complete(channel_last, mask, cfg), solos)
+
+
+def test_stack_of_one_equals_plane():
+    x = make_test_image(1, 24)
+    mask = generate_mask(24, 24, 0.5, 1)
+    solo = splic_complete(x, mask, SplicConfig())
+    _assert_stack_equals_solo(splic_complete(x[None], mask, SplicConfig()), [solo])
+
+
+def test_stack_hook_sees_retired_planes_frozen():
+    planes = _noisy_planes((24, 24), 2)
+    mask = generate_mask(24, 24, 0.5, 5)
+    frames = []
+    res = splic_complete(planes, mask, SplicConfig(), on_iteration=lambda t, xh: frames.append(xh))
+    counts = [len(trace) for trace in res.trace]
+    assert len(frames) == max(counts)
+    for j, count in enumerate(counts):
+        solo_frames = []
+        splic_complete(planes[j], mask, SplicConfig(), lambda t, xh: solo_frames.append(xh))
+        for t, frame in enumerate(frames):
+            assert frame.shape == planes.shape
+            assert np.array_equal(frame[j], solo_frames[min(t, count - 1)])
+
+
+def test_stack_input_validation():
+    mask = generate_mask(8, 8, 0.5, 0)
+    x = np.ones((8, 8))
+    with pytest.raises(ValueError, match="stack"):
+        splic_complete(np.ones((2, 2, 8, 8)), mask, SplicConfig())
+    with pytest.raises(ValueError, match="stack"):
+        splic_complete(np.ones((0, 8, 8)), mask, SplicConfig())
+    with pytest.raises(ValueError, match="mask shape"):
+        splic_complete(np.stack([x, x]), np.ones((8, 9)), SplicConfig())
+    # any all-zero plane leaves its delta undefined
+    with pytest.raises(ValueError, match="zero"):
+        splic_complete(np.stack([x, np.zeros((8, 8))]), mask, SplicConfig())
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 4), (3, 24, 40), (2, 64, 64)])
+def test_relative_change_per_matrix_of_a_stack(shape):
+    rng = np.random.default_rng(1)
+    a = rng.uniform(size=shape)
+    b = rng.uniform(size=shape)
+    change = relative_change(a, b)
+    assert change.shape == shape[:1]
+    for j in range(shape[0]):
+        # bit-equal to the Frobenius norm of the plane alone
+        assert change[j] == relative_change(a[j], b[j])
+        assert change[j] == np.linalg.norm(a[j] - b[j], "fro") / (shape[1] * shape[2])

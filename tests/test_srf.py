@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_difference_gradient, random_orthogonal
 from splic.linalg import svd
-from splic.srf import srf_gradient, srf_gradient_matrix, srf_value
+from splic.srf import srf_gradient, srf_gradient_matrix, srf_value, srf_value_from_sigma
 
 
 def test_zero_matrix_has_zero_value():
@@ -92,3 +92,18 @@ def test_rejects_bad_delta():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             srf_value(x, bad)
+
+
+def test_srf_on_a_stack_uses_each_matrix_delta(rng):
+    x = rng.uniform(size=(3, 9, 6))
+    deltas = np.array([0.3, 1.0, 4.0])
+    f = svd(x, rank=4)
+    grads = srf_gradient(f, deltas)
+    values = srf_value_from_sigma(f.sigma, deltas)
+    assert grads.shape == x.shape and values.shape == (3,)
+    for j in range(3):
+        alone = svd(x[j], rank=4)
+        assert np.array_equal(grads[j], srf_gradient(alone, deltas[j]))
+        assert values[j] == srf_value_from_sigma(alone.sigma, deltas[j])
+    with pytest.raises(ValueError, match="delta"):
+        srf_gradient(f, np.array([1.0, 0.0, 1.0]))

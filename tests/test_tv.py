@@ -106,3 +106,18 @@ def test_degenerate_dimensions_rejected():
     for fn in (tv_value, tv_gradient, tv_gradient_forward):
         with pytest.raises(ValueError):
             fn(np.ones((1, 5)))
+
+
+def test_tv_on_a_stack_equals_each_matrix_alone():
+    x = np.random.default_rng(3).uniform(size=(3, 40, 24))
+    values = tv_value(x)
+    assert values.shape == (3,)
+    for fn in (tv_gradient, tv_gradient_forward):
+        g = fn(x)
+        for j in range(3):
+            assert np.array_equal(g[j], fn(x[j]))
+    for j in range(3):
+        # one pairwise sum over each whole difference array, as for a plane
+        dv = np.diff(x[j], axis=0).ravel()
+        dh = np.diff(x[j], axis=1).ravel()
+        assert values[j] == tv_value(x[j]) == 0.5 * (np.sum(dv * dv) + np.sum(dh * dh))
