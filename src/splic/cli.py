@@ -26,6 +26,7 @@ from .image_io import (
     config_to_dict,
     encode_image,
     read_config_json,
+    read_header,
     read_image,
     read_mask,
     write_trace_csv,
@@ -137,6 +138,15 @@ def _read_image(path, args, cfg) -> np.ndarray:
     return np.stack(noisy).reshape(img.shape)
 
 
+def _read_stack(paths, args, cfg) -> tuple[np.ndarray, list[tuple]]:
+    """The planes of same-size files, each read as by `_read_image`, as
+    one (k, m, n) stack, and each file's image shape; the per-file arrays
+    are freed on return, before the stack is solved."""
+    images = [_read_image(path, args, cfg) for path in paths]
+    stack = np.concatenate([img.reshape((-1,) + img.shape[-2:]) for img in images])
+    return stack, [img.shape for img in images]
+
+
 def _read_input(args, cfg) -> np.ndarray:
     p = Path(args.input)
     if not p.is_file():
@@ -183,7 +193,7 @@ def cmd_complete(args) -> int:
 
 
 def _defend_one(image, cfg):
-    """Two-pass completion of one file's image, its planes solved as one stack."""
+    """Two-pass completion of one image or plane stack, solved as one stack."""
     return splic_alternated(image, cfg)
 
 
@@ -200,12 +210,46 @@ def cmd_defend(args) -> int:
     return _exit_code(args, res.converged)
 
 
+def _plan_groups(files) -> list[list[Path]]:
+    """Split `files` into groups solved as one plane stack each.
+
+    A group holds files of one (m, n), in the order given; its planes
+    total at most as many pixels as the largest file of the batch, so no
+    stack is bigger than one file alone.  A file whose header cannot be
+    read forms a group of its own.
+    """
+    headers = {}
+    for path in files:
+        try:
+            headers[path] = read_header(path)
+        except (ValueError, OSError):
+            headers[path] = None
+    budget = max((c * m * n for c, m, n in filter(None, headers.values())), default=0)
+    groups = []
+    filling = {}  # (m, n) -> [group, plane-pixels]
+    for path in files:
+        if headers[path] is None:
+            groups.append([path])
+            continue
+        c, m, n = headers[path]
+        entry = filling.get((m, n))
+        if entry is None or entry[1] + c * m * n > budget:
+            entry = filling[m, n] = [[], 0]
+            groups.append(entry[0])
+        entry[0].append(path)
+        entry[1] += c * m * n
+    return groups
+
+
 def _defend_batch(args, cfg) -> int:
     """Defend every image of a directory on a thread pool.
 
-    A file that fails (unreadable, malformed, unsolvable) is named on
-    stderr and left out of the outputs and the summary; every other file
-    is still written, and the run exits 2.
+    Same-shape files are solved together as one plane stack (see
+    `_plan_groups`); since they share the mask and each plane of a stack
+    is solved exactly as alone, the outputs equal per-file runs.  A file
+    that fails (unreadable, malformed, unsolvable) is named on stderr and
+    left out of the outputs and the summary; every other file is still
+    written, and the run exits 2.
     """
     in_dir = Path(args.input)
     if not in_dir.is_dir():
@@ -223,32 +267,54 @@ def _defend_batch(args, cfg) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(path):
-        """(summary row or None, converged, error or None) for one file."""
+    def finish(path, completed):
+        """(summary row or None, error or None) after writing one output."""
         try:
-            res = _defend_one(_read_image(path, args, cfg), cfg)
             row = None
             if ref_dir is not None:
-                quality = psnr(res.completed, read_image(ref_dir / path.name))
+                quality = psnr(completed, read_image(ref_dir / path.name))
                 row = f"{path.name},{quality!r}"
-            _write_output(res.completed, out_dir / path.name, cfg)
+            _write_output(completed, out_dir / path.name, cfg)
         except (ValueError, OSError) as exc:
-            return None, False, f"{path.name}: {exc}"
-        return row, res.converged, None
+            return None, f"{path.name}: {exc}"
+        return row, None
 
+    def process(group):
+        """One (summary row or None, error or None) per file of `group`, and
+        whether the group converged; a group that fails to read or solve
+        is solved again one file at a time, so each failure is named."""
+        try:
+            planes, shapes = _read_stack(group, args, cfg)
+            res = _defend_one(planes, cfg)
+        except (ValueError, OSError) as exc:
+            if len(group) == 1:
+                return [(None, f"{group[0].name}: {exc}")], False
+            parts = [process([path]) for path in group]
+            return [o for outcomes, _ in parts for o in outcomes], all(ok for _, ok in parts)
+        outcomes, start = [], 0
+        for path, shape in zip(group, shapes):
+            stop = start + (shape[0] if len(shape) == 3 else 1)
+            outcomes.append(finish(path, res.completed[start:stop].reshape(shape)))
+            start = stop
+        return outcomes, res.converged
+
+    groups = _plan_groups(files)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(process, files))
+        results = list(pool.map(process, groups))
 
-    errors = [error for _, _, error in outcomes if error is not None]
+    outcomes = {}
+    for group, (group_outcomes, _) in zip(groups, results):
+        outcomes.update(zip(group, group_outcomes))
+    errors = [outcomes[path][1] for path in files if outcomes[path][1] is not None]
     if ref_dir is not None:
-        rows = [row for row, _, error in outcomes if error is None]
+        rows = [outcomes[path][0] for path in files if outcomes[path][1] is None]
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
         _atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
         return EXIT_VALIDATION
-    return _exit_code(args, all(converged for _, converged, _ in outcomes))
+    return _exit_code(args, all(converged for _, converged in results))
 
 
 def _parse_fractions(text) -> list[float]:

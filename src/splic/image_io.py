@@ -124,16 +124,49 @@ def _ascii_samples(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
     return _ascii_samples_scalar(scanner, count, maxval)
 
 
-def decode_image(data: bytes) -> np.ndarray:
-    """Decode PGM/PPM bytes to a (m, n) plane or (3, m, n) channel stack."""
-    scanner = _Scanner(data)
+def _parse_header(scanner: _Scanner) -> tuple[bytes, int, int, int]:
+    """Read `(magic, width, height, maxval)`; the scanner stops right after
+    the maxval token."""
     magic, magic_at = scanner.token("magic number")
     if magic not in _MAGIC_CHANNELS:
         raise PnmParseError(f"unsupported magic {magic!r}", magic_at)
-    channels = _MAGIC_CHANNELS[magic]
     width = scanner.int_token("width", 1, 1 << 30)
     height = scanner.int_token("height", 1, 1 << 30)
     maxval = scanner.int_token("maxval", 1, 65535)
+    return magic, width, height, maxval
+
+
+def read_header(path) -> tuple[int, int, int]:
+    """`(channels, m, n)` of a PGM/PPM file, read from its header alone.
+
+    Reads a growing prefix of the file until the header ends inside it,
+    so the result and any `PnmParseError` (message and offset) are those
+    `decode_image` gives for the whole file's header.
+    """
+    size = 1024
+    with open(path, "rb") as fh:
+        data = fh.read(size)
+        while True:
+            at_eof = len(data) < size
+            scanner = _Scanner(data)
+            try:
+                magic, width, height, _ = _parse_header(scanner)
+            except PnmParseError:
+                if at_eof:
+                    raise
+            else:
+                # the maxval token must end before the prefix does
+                if at_eof or scanner.pos < len(data):
+                    return _MAGIC_CHANNELS[magic], height, width
+            data += fh.read(size * 3)
+            size *= 4
+
+
+def decode_image(data: bytes) -> np.ndarray:
+    """Decode PGM/PPM bytes to a (m, n) plane or (3, m, n) channel stack."""
+    scanner = _Scanner(data)
+    magic, width, height, maxval = _parse_header(scanner)
+    channels = _MAGIC_CHANNELS[magic]
     count = width * height * channels
 
     if magic in _BINARY_MAGICS:

@@ -12,6 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _stack_shaped(x, name: str) -> np.ndarray:
+    """`x` as a float array of shape (..., m, n) with m, n >= 2; values unchecked."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-D, got shape {arr.shape}")
+    if arr.shape[-2] < 2 or arr.shape[-1] < 2:
+        raise ValueError(f"{name} must be at least 2x2, got shape {arr.shape}")
+    return arr
+
+
+def _check_finite(values, name: str):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite values")
+
+
 def as_stack(x, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite float array of shape (..., m, n) with
     m, n >= 2: one matrix, or a stack of them.
@@ -20,13 +35,8 @@ def as_stack(x, name: str = "matrix") -> np.ndarray:
     given special handling downstream: the roughness penalty needs both
     image dimensions.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim < 2:
-        raise ValueError(f"{name} must be at least 2-D, got shape {arr.shape}")
-    if arr.shape[-2] < 2 or arr.shape[-1] < 2:
-        raise ValueError(f"{name} must be at least 2x2, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+    arr = _stack_shaped(x, name)
+    _check_finite(arr, name)
     return arr
 
 
@@ -99,12 +109,14 @@ def svd(x, rank: int | None = None) -> SvdFactors:
     if rank is None:
         u, s, vt = np.linalg.svd(as_matrix(x), full_matrices=False)
         return _sign_fixed(u, s, vt.T)
-    arr = as_stack(x)
+    arr = _stack_shaped(x, "matrix")
     m, n = arr.shape[-2:]
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
-    # scaling by the largest entry keeps the squared entries finite
+    # scaling by the largest entry keeps the squared entries finite; the
+    # max propagates NaN and +-inf, so it also stands in for a finiteness scan
     scale = np.abs(arr).max(axis=(-2, -1), keepdims=True)
+    _check_finite(scale, "matrix")
     scale[scale == 0.0] = 1.0
     a = arr / scale
     tall = m >= n

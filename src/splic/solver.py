@@ -34,7 +34,7 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,6 +216,18 @@ def _image_stack(x) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(arr.reshape((-1,) + arr.shape[-2:])), arr.ndim == 3
 
 
+def _step(current, fixed, anchor, delta, dd, r, cfg, tv_grad):
+    """One iteration on the live stack: the projected iterate and the
+    top-r singular values it was rebuilt from.  Its temporaries are freed
+    on return, before the caller's trace bookkeeping allocates its own."""
+    f = svd(current, rank=r)
+    truncated = reconstruct(f)
+    g_rank = srf_gradient(f, delta)
+    g_tv = tv_grad(truncated)
+    x_tilde = truncated - cfg.mu * (dd * g_rank + cfg.lam * g_tv)
+    return np.where(anchor, fixed, x_tilde), f.sigma
+
+
 def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionResult:
     """Complete the non-anchor pixels of `x` by progressive rank smoothing.
 
@@ -258,17 +270,12 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
         dd = (delta * delta)[:, None, None]
         block_planes = list(zip(live.tolist(), delta.tolist()))
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
-            f = svd(current, rank=r)
-            truncated = reconstruct(f)
-            g_rank = srf_gradient(f, delta)
-            g_tv = tv_grad(truncated)
-            x_tilde = truncated - cfg.mu * (dd * g_rank + cfg.lam * g_tv)
-            x_next = np.where(anchor, fixed, x_tilde)
+            x_next, sigma = _step(current, fixed, anchor, delta, dd, r, cfg, tv_grad)
             t += 1
             columns = zip(
                 block_planes,
                 relative_change(x_next, current).tolist(),
-                srf_value_from_sigma(f.sigma, delta).tolist(),
+                srf_value_from_sigma(sigma, delta).tolist(),
                 tv_value(x_next).tolist(),
             )
             for (p, d), rel, srf, tv in columns:
@@ -325,6 +332,8 @@ def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult
     m, n = arr.shape[-2:]
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
     first = splic_complete(arr, mask, cfg, on_iteration=on_iteration)
+    # free the first pass's low-rank surface, unused, before the second pass
+    first = replace(first, low_rank=None)
     second = splic_complete(
         first.completed, complement(mask), cfg, on_iteration=on_iteration
     )

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr
 import numpy as np
 import pytest
 
-from splic.cli import main
+from splic.cli import _plan_groups, main
 from splic.image_io import read_image, write_image, write_mask, write_trace_csv
 from splic.linalg import numerical_rank
 from splic.metrics import psnr
@@ -373,3 +373,105 @@ def test_defend_batch_missing_reference_writes_nothing(tmp_path):
     assert code == 2
     assert "reference file missing" in err and "img3.ppm" in err
     assert not out_dir.exists()
+
+
+def _same_shape_dir(tmp_path):
+    """Same-shape grey and colour files, ASCII and binary, plus one larger
+    colour file that sets the group budget; with a reference dir."""
+    in_dir, ref_dir = tmp_path / "in", tmp_path / "ref"
+    in_dir.mkdir()
+    ref_dir.mkdir()
+    formats = ("P2", "P3", "P5", "P6", None, "P3")
+    for i, fmt in enumerate(formats):
+        scene = make_test_image(30 + i, (20, 24))
+        colour = fmt in ("P3", "P6")
+        img = np.stack([scene, scene ** 2, 1.0 - scene]) if colour else scene
+        name = f"img{i}" + (".ppm" if colour else ".pgm")
+        write_image(img, in_dir / name, fmt=fmt)
+        write_image(img, ref_dir / name)
+    big = make_test_image(40, (30, 32))
+    write_image(np.stack([big, big, big]), in_dir / "z.ppm")
+    write_image(np.stack([big, big, big]), ref_dir / "z.ppm")
+    return in_dir, ref_dir
+
+
+def _batch_outputs(in_dir, ref_dir, out_dir, *flags):
+    code, err = run_cli(
+        "defend", "--input", in_dir, "--output", out_dir, "--batch",
+        "--reference-dir", ref_dir, "--seed", "4", *flags,
+    )
+    return code, err, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_plan_groups_keep_name_order_within_the_budget(tmp_path):
+    headers = {
+        "a0.pgm": b"P5 24 20 255\n", "a1.ppm": b"P6 24 20 255\n",
+        "a2.pgm": b"P2 24 20 255\n", "a3.pgm": b"P5 20 24 255\n",
+        "a4.pgm": b"P5 24 20 255\n", "a5.ppm": b"P3 24 20 255\n",
+        "a6.pgm": b"P5 24 20 255\n", "a7.pgm": b"P5 24 20 255\n",
+        "b.ppm": b"P6 32 30 255\n", "bad.pgm": b"P9 24 20 255\n",
+        "cut.pgm": b"P5 24",
+    }
+    for name, data in headers.items():
+        (tmp_path / name).write_bytes(data)
+    files = sorted(tmp_path.iterdir())
+    groups = [[p.name for p in group] for group in _plan_groups(files)]
+    # budget: b.ppm's 3 * 30 * 32 plane-pixels, 6 planes of 20 x 24
+    assert groups == [
+        ["a0.pgm", "a1.ppm", "a2.pgm", "a4.pgm"], ["a3.pgm"],
+        ["a5.ppm", "a6.pgm", "a7.pgm"], ["b.ppm"], ["bad.pgm"], ["cut.pgm"],
+    ]
+
+
+def test_defend_batch_groups_byte_identical_to_per_file_runs(tmp_path):
+    in_dir, ref_dir = _same_shape_dir(tmp_path)
+    noise = ("--add-uniform-noise", "0.03")
+    files = sorted(in_dir.iterdir())
+    assert max(len(group) for group in _plan_groups(files)) > 2
+    per_file, rows = {}, []
+    for path in files:
+        one_in, one_ref = tmp_path / "one" / path.stem, tmp_path / "one_ref" / path.stem
+        one_in.mkdir(parents=True)
+        one_ref.mkdir(parents=True)
+        (one_in / path.name).write_bytes(path.read_bytes())
+        (one_ref / path.name).write_bytes((ref_dir / path.name).read_bytes())
+        code, _, out = _batch_outputs(
+            one_in, one_ref, tmp_path / "one_out" / path.stem, *noise
+        )
+        assert code == 0
+        per_file[path.name] = out[path.name]
+        rows.append(out["summary.csv"].splitlines()[1])
+        single = tmp_path / "single" / path.name
+        code, _ = run_cli("defend", "--input", path, "--output", single, "--seed", "4", *noise)
+        assert code == 0 and single.read_bytes() == per_file[path.name]
+    summary = b"\n".join([b"file,psnr_db", *rows]) + b"\n"
+    for jobs in ("1", "2"):
+        code, _, out = _batch_outputs(
+            in_dir, ref_dir, tmp_path / f"out{jobs}", "--jobs", jobs, *noise
+        )
+        assert code == 0
+        assert out == {**per_file, "summary.csv": summary}
+
+
+def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
+    in_dir, ref_dir = _same_shape_dir(tmp_path)
+    code, _, clean = _batch_outputs(in_dir, ref_dir, tmp_path / "clean", "--maxiter", "21")
+    assert code == 0
+    # same shape as their neighbours, so both join a group: a corrupt
+    # payload and an all-black image
+    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 200 + b"x\n")
+    write_image(np.zeros((20, 24)), in_dir / "img2b.pgm")
+    write_image(np.zeros((20, 24)), ref_dir / "img2b.pgm")
+    (ref_dir / "img1b.pgm").write_bytes((ref_dir / "img0.pgm").read_bytes())
+    groups = _plan_groups(sorted(in_dir.iterdir()))
+    assert any(len(g) > 1 and in_dir / "img1b.pgm" in g for g in groups)
+    assert any(len(g) > 1 and in_dir / "img2b.pgm" in g for g in groups)
+    for jobs in ("1", "2"):
+        code, err, out = _batch_outputs(
+            in_dir, ref_dir, tmp_path / f"out{jobs}", "--maxiter", "21", "--jobs", jobs
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert lines[0].startswith("error: img1b.pgm: ") and "not an integer" in lines[0]
+        assert lines[1].startswith("error: img2b.pgm: ") and "identically zero" in lines[1]
+        assert out == clean

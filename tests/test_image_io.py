@@ -15,6 +15,7 @@ from splic.image_io import (
     decode_image,
     encode_image,
     read_config_json,
+    read_header,
     read_image,
     read_mask,
     trace_csv_lines,
@@ -203,6 +204,52 @@ def test_parser_total_with_valid_ascii_prefix(prefix, suffix):
         return
     assert img.shape in ((2, 2), (3, 1, 2))
     assert np.all((img >= 0.0) & (img <= 1.0))
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [
+        (b"P2\n# grey, ascii\n5 3\n255\n", (1, 3, 5)),
+        (b"P3 4#width\n2 # height\n65535\n", (3, 2, 4)),
+        (b"P5\n#a\n#b\n7 2\n# maxval next\n255\n", (1, 2, 7)),
+        (b"P6\t3\r\n4\x0b255\n", (3, 4, 3)),
+        # a comment past the first 1024-byte prefix; a width across its end
+        (b"P5\n#" + b"x" * 1500 + b"\n9 4\n255\n", (1, 4, 9)),
+        (b"P5\n" + b" " * 1020 + b"1234 2\n255\n", (1, 2, 1234)),
+    ],
+)
+def test_read_header_agrees_with_decode_image(tmp_path, header, expected):
+    channels, m, n = expected
+    binary = header[1:2] in b"56"
+    payload = bytes(channels * m * n) if binary else b"0 " * (channels * m * n)
+    path = tmp_path / "img.pnm"
+    path.write_bytes(header + payload)
+    assert read_header(path) == expected
+    assert decode_image(path.read_bytes()).shape == ((m, n) if channels == 1 else (3, m, n))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"P7\n2 2\n255\n",
+        b"P2\n# only a comment",
+        b"P5\n2 x\n255\n\x00",
+        b"P6\n2 2\n0\n",
+        b"P3\n0 2\n255\n",
+        b"P5\n" + b" " * 1020 + b"12x4 2\n255\n",
+        b"P5 4 2" + b" " * 1015 + b"65536\n",  # the first prefix ends at "655"
+        b"P5\n2 2 " + b"#" * 3000,
+    ],
+)
+def test_read_header_errors_match_decode_image(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PnmParseError) as decoded:
+        decode_image(data)
+    with pytest.raises(PnmParseError) as read:
+        read_header(path)
+    assert (str(read.value), read.value.offset) == (str(decoded.value), decoded.value.offset)
 
 
 def test_mask_roundtrip(tmp_path):

@@ -234,3 +234,12 @@ def test_rank_path_on_a_stack_equals_each_matrix_alone(rng, shape, rank):
 def test_full_path_takes_one_matrix():
     with pytest.raises(ValueError, match="2-D"):
         svd(np.ones((2, 3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(6, 5), (3, 6, 5)])
+def test_rank_svd_rejects_non_finite(bad, shape):
+    x = np.ones(shape)
+    x[(-1,) * len(shape)] = bad  # in the last matrix of a stack
+    with pytest.raises(ValueError, match="matrix contains non-finite values"):
+        svd(x, rank=2)
