@@ -86,7 +86,7 @@ def _sign_fixed(u, sigma, v) -> SvdFactors:
     return SvdFactors(U=u * signs, sigma=sigma, V=v * signs)
 
 
-def svd(x, rank: int | None = None) -> SvdFactors:
+def svd(x, rank: int | None = None, start=None) -> SvdFactors:
     """Thin SVD with a fixed sign convention for reproducibility.
 
     Each left singular vector is flipped so that its largest-magnitude
@@ -105,8 +105,25 @@ def svd(x, rank: int | None = None) -> SvdFactors:
     order.  That is ample for a well-separated top of the spectrum, but
     callers that need the whole spectrum or singular values far below
     sigma_1 must use the full path.
+
+    start=B, a (..., n, rank) stack of right bases (say the V of an earlier
+    call on a nearby matrix), takes the warm path instead: one block power
+    step from B, Q = qr(X B) and V = qr(X^T Q), then a small SVD of X V,
+    which gives `rank` Ritz triplets with U and sigma from it and V from
+    rotating V by its right vectors (Halko, Martinsson & Tropp, SIAM Rev.
+    2011).  It costs three m x n x rank products and factorizations of
+    m x rank and n x rank blocks instead of the n x n eigendecomposition.
+    The triplets are exact (to rounding) when span(B) holds the leading
+    right singular subspace, and otherwise only as good as that subspace:
+    X v = sigma u holds to rounding, but X^T u = sigma v holds only to the
+    accuracy of the start, so callers check that residual before trusting
+    the result.  A wide matrix needs no transpose: the blocks factored are
+    m x rank and n x rank either way.  B must be finite; each matrix is
+    scaled as on the Gram path, and a stack is treated matrix by matrix.
     """
     if rank is None:
+        if start is not None:
+            raise ValueError("start needs a rank")
         u, s, vt = np.linalg.svd(as_matrix(x), full_matrices=False)
         return _sign_fixed(u, s, vt.T)
     arr = _stack_shaped(x, "matrix")
@@ -119,6 +136,8 @@ def svd(x, rank: int | None = None) -> SvdFactors:
     _check_finite(scale, "matrix")
     scale[scale == 0.0] = 1.0
     a = arr / scale
+    if start is not None:
+        return _warm_top(a, scale, rank, start)
     tall = m >= n
     if not tall:
         a = np.swapaxes(a, -1, -2)
@@ -133,6 +152,20 @@ def svd(x, rank: int | None = None) -> SvdFactors:
     )
     u, v = (p, q) if tall else (q, p)
     return _sign_fixed(u, scale[..., 0] * s, v)
+
+
+def _warm_top(a, scale, rank, start) -> SvdFactors:
+    """The warm path of `svd` on the scaled stack `a`: the `rank` Ritz
+    triplets of one block power step from the right bases `start`."""
+    b = np.asarray(start, dtype=np.float64)
+    want = a.shape[:-2] + (a.shape[-1], rank)
+    if b.shape != want:
+        raise ValueError(f"start must have shape {want}, got {b.shape}")
+    _check_finite(b, "start")
+    q = np.linalg.qr(a @ b)[0]
+    v = np.linalg.qr(np.swapaxes(a, -1, -2) @ q)[0]
+    w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
+    return _sign_fixed(w, scale[..., 0] * s, v @ np.swapaxes(zt, -1, -2))
 
 
 def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:

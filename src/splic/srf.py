@@ -31,7 +31,11 @@ def srf_value_from_sigma(sigma, delta):
     values for a (..., l) stack of them."""
     d = _check_delta(delta)
     s = np.asarray(sigma, dtype=np.float64)
-    value = s.shape[-1] - np.exp(-(s**2) / (2.0 * d * d)).sum(axis=-1)
+    # guards as in srf_gradient: for a tiny delta the exponent overflows
+    # to -inf and the term is 0, the limit the surrogate tends to (delta^2
+    # itself must not underflow, or sigma = 0 gives 0 / 0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = s.shape[-1] - np.exp(-(s**2) / (2.0 * d * d)).sum(axis=-1)
     return float(value) if value.ndim == 0 else value
 
 

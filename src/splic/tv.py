@@ -21,10 +21,13 @@ from .linalg import as_stack
 def tv_value(x):
     """Sum of half-squared forward differences along rows and columns."""
     arr = as_stack(x)
-    dv = arr[..., :-1, :] - arr[..., 1:, :]
-    dh = arr[..., :, :-1] - arr[..., :, 1:]
     axes = (-2, -1)
-    value = 0.5 * ((dv * dv).sum(axis=axes) + (dh * dh).sum(axis=axes))
+    # one difference array at a time, squared in place
+    d = arr[..., :-1, :] - arr[..., 1:, :]
+    vertical = np.square(d, out=d).sum(axis=axes)
+    del d
+    d = arr[..., :, :-1] - arr[..., :, 1:]
+    value = 0.5 * (vertical + np.square(d, out=d).sum(axis=axes))
     return float(value) if value.ndim == 0 else value
 
 
@@ -36,12 +39,14 @@ def tv_gradient(x) -> np.ndarray:
     """
     arr = as_stack(x)
     g = np.zeros_like(arr)
-    dv = arr[..., :-1, :] - arr[..., 1:, :]
-    dh = arr[..., :, :-1] - arr[..., :, 1:]
-    g[..., :-1, :] += dv
-    g[..., 1:, :] -= dv
-    g[..., :, :-1] += dh
-    g[..., :, 1:] -= dh
+    # one difference array at a time, so at most two full-size arrays live
+    d = arr[..., :-1, :] - arr[..., 1:, :]
+    g[..., :-1, :] += d
+    g[..., 1:, :] -= d
+    del d
+    d = arr[..., :, :-1] - arr[..., :, 1:]
+    g[..., :, :-1] += d
+    g[..., :, 1:] -= d
     return g
 
 

@@ -243,3 +243,78 @@ def test_rank_svd_rejects_non_finite(bad, shape):
     x[(-1,) * len(shape)] = bad  # in the last matrix of a stack
     with pytest.raises(ValueError, match="matrix contains non-finite values"):
         svd(x, rank=2)
+
+
+def _separated(shape, rng, decay=0.7):
+    """A matrix with singular values decay**k, so every triplet is resolved."""
+    m, n = shape
+    l = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, l)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, l)))[0]
+    return (u * 3.0 * decay ** np.arange(l)) @ v.T
+
+
+@pytest.mark.parametrize("shape, rank", [((60, 40), 10), ((40, 60), 10), ((30, 30), 14)])
+def test_warm_svd_from_an_exact_start_reproduces_the_rank_path(rng, shape, rank):
+    x = _separated(shape, rng)
+    exact = svd(x, rank=rank)
+    warm = svd(x, rank=rank, start=exact.V)
+    assert warm.U.shape == exact.U.shape and warm.V.shape == exact.V.shape
+    for got, want in zip((warm.U, warm.sigma, warm.V), (exact.U, exact.sigma, exact.V)):
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_warm_svd_ritz_triplets_meet_the_factor_contract(rng):
+    # from a random start: orthonormal factors, sigma descending, and
+    # x v = sigma u to rounding whatever the quality of the start
+    x = rng.uniform(size=(50, 36))
+    start = np.linalg.qr(rng.standard_normal((36, 9)))[0]
+    f = svd(x, rank=9, start=start)
+    assert np.all(np.diff(f.sigma) <= 0.0) and np.all(f.sigma >= 0.0)
+    assert np.allclose(f.U.T @ f.U, np.eye(9), atol=1e-12)
+    assert np.allclose(f.V.T @ f.V, np.eye(9), atol=1e-12)
+    assert np.max(np.abs(x @ f.V - f.U * f.sigma)) <= 1e-12 * f.sigma[0]
+    # the sign convention of the other paths
+    assert np.all(np.abs(f.U).max(axis=0) == f.U.max(axis=0))
+
+
+@pytest.mark.parametrize("shape, rank", [((3, 40, 24), 6), ((2, 24, 40), 6), ((2, 2, 20, 20), 4)])
+def test_warm_svd_on_a_stack_equals_each_matrix_alone(rng, shape, rank):
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    start = svd(x + 0.01 * rng.standard_normal(shape), rank=rank).V
+    f = svd(x, rank=rank, start=start)
+    for idx in np.ndindex(shape[:-2]):
+        alone = svd(x[idx], rank=rank, start=start[idx])
+        assert np.array_equal(f.U[idx], alone.U)
+        assert np.array_equal(f.sigma[idx], alone.sigma)
+        assert np.array_equal(f.V[idx], alone.V)
+
+
+def test_warm_svd_rejects_a_bad_start(rng):
+    x = rng.uniform(size=(2, 12, 10))
+    start = svd(x, rank=3).V
+    bad = start.copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="start contains non-finite values"):
+        svd(x, rank=3, start=bad)
+    for shape in [(2, 12, 3), (2, 10, 4), (10, 3), (1, 10, 3)]:
+        with pytest.raises(ValueError, match="start must have shape"):
+            svd(x, rank=3, start=np.ones(shape))
+    with pytest.raises(ValueError, match="start needs a rank"):
+        svd(x[0], start=start[0])
+    y = x.copy()
+    y[0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="matrix contains non-finite values"):
+        svd(y, rank=3, start=start)
+
+
+def test_warm_svd_reads_qr_as_a_plain_pair(rng, monkeypatch):
+    # numpy before 2.0 returns qr's factors as a plain tuple, with no .Q
+    x = rng.uniform(size=(2, 30, 20))
+    start = svd(x, rank=5).V
+    want = svd(x, rank=5, start=start)
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: tuple(qr(a)))
+    got = svd(x, rank=5, start=start)
+    for a, b in zip((got.U, got.sigma, got.V), (want.U, want.sigma, want.V)):
+        assert np.array_equal(a, b)

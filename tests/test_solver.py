@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -327,10 +328,16 @@ def test_alternated_uses_complement_mask_for_second_pass():
     assert np.array_equal(res.completed[comp_anchors], first.completed[comp_anchors])
 
 
-def _lapack_top_r(x, rank):
-    """LAPACK top-r triplets of each plane of the (k, m, n) stack the solver steps."""
+def _lapack_top_r(x, rank, start=None):
+    """LAPACK top-r triplets of each plane of the (k, m, n) stack the solver
+    steps; a warm `start` is ignored, so every step is exact."""
     tops = [svd(plane).top(rank) for plane in x]
     return SvdFactors(*(np.stack(parts) for parts in zip(*((f.U, f.sigma, f.V) for f in tops))))
+
+
+def _exact_svd(x, rank=None, start=None):
+    """The solver's `svd` with any warm start dropped: the exact path."""
+    return svd(x, rank=rank)
 
 
 def _full_spectrum_complete(x, mask, cfg):
@@ -396,6 +403,8 @@ def test_gram_top_r_svd_matches_lapack_solve(shape, tv_mode, monkeypatch):
     x = add_uniform_noise(make_test_image(5, shape), 0.03, 2)
     mask = generate_mask(*shape, 0.5, 4)
     cfg = SplicConfig(tv_mode=tv_mode)
+    # every step on the exact Gram path, as the solver takes it without a start
+    monkeypatch.setattr(solver_module, "svd", _exact_svd)
     res = splic_complete(x, mask, cfg)
     monkeypatch.setattr(solver_module, "svd", _lapack_top_r)
     ref = splic_complete(x, mask, cfg)
@@ -507,3 +516,114 @@ def test_relative_change_per_matrix_of_a_stack(shape):
         # bit-equal to the Frobenius norm of the plane alone
         assert change[j] == relative_change(a[j], b[j])
         assert change[j] == np.linalg.norm(a[j] - b[j], "fro") / (shape[1] * shape[2])
+
+
+def _calls_with_start(monkeypatch):
+    """Record, for every svd call the solver makes, whether it was warm."""
+    calls = []
+
+    def spy(x, rank=None, start=None):
+        calls.append(start is not None)
+        return svd(x, rank=rank, start=start)
+
+    monkeypatch.setattr(solver_module, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape, warm",
+    [((64, 64), True), ((96, 64), True), ((48, 48), True), ((47, 47), False), ((16, 40), False)],
+)
+def test_warm_path_runs_above_the_size_crossover_only(shape, warm, monkeypatch):
+    # the warm path needs 2 * (r + 12) <= min(m, n): from 48² up at the default r
+    calls = _calls_with_start(monkeypatch)
+    x = make_test_image(1, shape)
+    res = splic_complete(x, generate_mask(*shape, 0.5, 1), SplicConfig())
+    if warm:
+        # exact at the first step and for the final low_rank, warm in between
+        assert calls == [False] + [True] * (res.iterations - 1) + [False]
+    else:
+        assert not any(calls)
+
+
+@pytest.mark.parametrize(
+    "shape, tv_mode, maxiter",
+    [
+        ((48, 48), "exact", 210),
+        ((64, 64), "exact", 210),
+        ((64, 64), "paper", 210),
+        ((64, 96), "exact", 210),
+        ((64, 96), "paper", 50),
+    ],
+)
+def test_warm_stack_solve_equals_solo_solves(shape, tv_mode, maxiter, monkeypatch):
+    calls = _calls_with_start(monkeypatch)
+    planes = _noisy_planes(shape, 2)
+    mask = generate_mask(*shape, 0.5, 5)
+    cfg = SplicConfig(tv_mode=tv_mode, maxiter=maxiter)
+    solos = [splic_complete(plane, mask, cfg) for plane in planes]
+    assert any(calls)
+    # the planes retire in different blocks, so the bases must follow them
+    assert len({s.iterations for s in solos}) > 1
+    _assert_stack_equals_solo(splic_complete(planes, mask, cfg), solos)
+
+
+def test_warm_stack_alternated_equals_solo():
+    planes = _noisy_planes((64, 80), 7)
+    cfg = SplicConfig(seed=3)
+    solos = [splic_alternated(plane, cfg) for plane in planes]
+    _assert_stack_equals_solo(splic_alternated(planes, cfg), solos)
+
+
+def test_warm_fallback_takes_the_exact_path_per_plane(monkeypatch):
+    # a NaN in plane 1's warm factors fails its residual check at every
+    # warm step, so plane 1 must step as on the exact path while planes 0
+    # and 2 keep their warm trajectories
+    planes = _noisy_planes((64, 64), 2)
+    mask = generate_mask(64, 64, 0.5, 5)
+    cfg = SplicConfig(maxiter=28)  # no plane retires early: plane 1 stays at index 1
+    warm = [splic_complete(plane, mask, cfg) for plane in planes]
+
+    def poisoned(x, rank=None, start=None):
+        f = svd(x, rank=rank, start=start)
+        if start is not None:
+            f.sigma[1] = np.nan
+        return f
+
+    monkeypatch.setattr(solver_module, "svd", poisoned)
+    stacked = splic_complete(planes, mask, cfg)
+    monkeypatch.setattr(solver_module, "svd", _exact_svd)
+    exact = splic_complete(planes[1], mask, cfg)
+    assert stacked.iterations == 3 * cfg.maxiter
+    assert not np.array_equal(exact.completed, warm[1].completed)
+    assert np.array_equal(stacked.completed[1], exact.completed)
+    for j in (0, 2):
+        assert np.array_equal(stacked.completed[j], warm[j].completed)
+
+
+def test_delta_floor_keeps_a_deep_schedule_finite_and_silent():
+    # rho = 1e-9 drives delta below the smallest normal float within the
+    # budget; it used to underflow to 0, leak RuntimeWarnings and raise
+    x = make_test_image(0, 32)
+    mask = generate_mask(32, 32, 0.5, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for maxiter in (210, 400):
+            res = splic_complete(x, mask, SplicConfig(rho=1e-9, epsilon=1e-30, maxiter=maxiter))
+            assert res.iterations == maxiter and not res.converged
+            assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
+            assert all(np.isfinite(rec.srf) and rec.delta > 0.0 for rec in res.trace)
+    floor = np.sqrt(np.finfo(np.float64).tiny)
+    assert res.trace.deltas.min() == floor
+    # a flat plane with one free pixel at full rank: the Gram path gives
+    # exact zeros among the top r, whose surrogate term at the floor is 1
+    flat = np.full((32, 32), 0.5)
+    anchors = np.ones((32, 32))
+    anchors[5, 7] = 0.0
+    cfg = SplicConfig(r=32, rho=1e-9, epsilon=1e-30, maxiter=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = splic_complete(flat, anchors, cfg)
+        assert srf_value_from_sigma(np.array([1.0, 0.0]), floor) == 1.0
+    assert res.trace.deltas.min() == floor
+    assert all(np.isfinite(rec.srf) for rec in res.trace)
