@@ -43,7 +43,9 @@ def soft_impute_with_count(x, mask, tau, iters=200, tol=1e-7):
     done = 0
     for _ in range(iters):
         filled = np.where(observed, arr, z)
-        z_next = soft_threshold_singular(svd(filled), tau)
+        # SVT keeps only the triplets with sigma > tau, which the Gram rank
+        # path resolves to about eps * sigma_1^2 / tau
+        z_next = soft_threshold_singular(svd(filled, rank=min(arr.shape)), tau)
         done += 1
         if relative_change(z_next, z) < tol:
             z = z_next

@@ -108,18 +108,22 @@ def svd(x, rank: int | None = None, start=None) -> SvdFactors:
 
     start=B, a (..., n, rank) stack of right bases (say the V of an earlier
     call on a nearby matrix), takes the warm path instead: one block power
-    step from B, Q = qr(X B) and V = qr(X^T Q), then a small SVD of X V,
-    which gives `rank` Ritz triplets with U and sigma from it and V from
-    rotating V by its right vectors (Halko, Martinsson & Tropp, SIAM Rev.
-    2011).  It costs three m x n x rank products and factorizations of
-    m x rank and n x rank blocks instead of the n x n eigendecomposition.
-    The triplets are exact (to rounding) when span(B) holds the leading
-    right singular subspace, and otherwise only as good as that subspace:
-    X v = sigma u holds to rounding, but X^T u = sigma v holds only to the
-    accuracy of the start, so callers check that residual before trusting
-    the result.  A wide matrix needs no transpose: the blocks factored are
-    m x rank and n x rank either way.  B must be finite; each matrix is
-    scaled as on the Gram path, and a stack is treated matrix by matrix.
+    step from B, V = qr(X^T X B) (one QR: span(X^T qr(X B)) is the same
+    subspace), then the Rayleigh-Ritz triplets of X on span(V), read as on
+    the rank path off the eigendecomposition of the rank x rank Gram
+    matrix (X V)^T (X V) = Z diag(sigma^2) Z^T: sigma, U = X V Z / sigma
+    (a zero column where sigma = 0) and V Z (Halko, Martinsson & Tropp,
+    SIAM Rev. 2011).  It costs three m x n x rank products, one QR of an
+    n x rank block and a rank x rank eigendecomposition instead of the
+    n x n one.  When span(B) holds the leading right singular subspace,
+    the triplets meet the rank path's accuracy contract (an error in
+    sigma_k of about eps * sigma_1^2 / sigma_k); otherwise they are only
+    as good as that subspace: X v = sigma u holds to the contract, but
+    X^T u = sigma v holds only to the accuracy of the start, so callers
+    check that residual before trusting the result.  A wide matrix needs
+    no transpose: the blocks factored are n x rank and rank x rank either
+    way.  B must be finite; each matrix is scaled as on the Gram path, and
+    a stack is treated matrix by matrix.
     """
     if rank is None:
         if start is not None:
@@ -141,17 +145,25 @@ def svd(x, rank: int | None = None, start=None) -> SvdFactors:
     tall = m >= n
     if not tall:
         a = np.swapaxes(a, -1, -2)
-    w, q = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)
-    w, q = w[..., ::-1][..., :rank], q[..., ::-1][..., :rank]
+    p, s, q = _gram_top(a, rank)
+    u, v = (p, q) if tall else (q, p)
+    return _sign_fixed(u, scale[..., 0] * s, v)
+
+
+def _gram_top(a, rank):
+    """The leading `rank` triplets (a V / sigma, sigma, V) of each tall
+    matrix of the stack `a`, V from the eigendecomposition of a^T a; a
+    zero column of a V / sigma where sigma = 0."""
+    w, v = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)
+    w, v = w[..., ::-1][..., :rank], v[..., ::-1][..., :rank]
     s = np.sqrt(np.maximum(w, 0.0))
     p = np.divide(
-        a @ q,
+        a @ v,
         s[..., None, :],
         out=np.zeros(a.shape[:-1] + (rank,)),
         where=s[..., None, :] > 0.0,
     )
-    u, v = (p, q) if tall else (q, p)
-    return _sign_fixed(u, scale[..., 0] * s, v)
+    return p, s, v
 
 
 def _warm_top(a, scale, rank, start) -> SvdFactors:
@@ -162,10 +174,10 @@ def _warm_top(a, scale, rank, start) -> SvdFactors:
     if b.shape != want:
         raise ValueError(f"start must have shape {want}, got {b.shape}")
     _check_finite(b, "start")
-    q = np.linalg.qr(a @ b)[0]
-    v = np.linalg.qr(np.swapaxes(a, -1, -2) @ q)[0]
-    w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
-    return _sign_fixed(w, scale[..., 0] * s, v @ np.swapaxes(zt, -1, -2))
+    # span(A^T qr(A B)) = span(A^T A B), so one QR gives the power step's basis
+    v = np.linalg.qr(np.swapaxes(a, -1, -2) @ (a @ b))[0]
+    u, s, z = _gram_top(a @ v, rank)
+    return _sign_fixed(u, scale[..., 0] * s, v @ z)
 
 
 def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:

@@ -24,13 +24,13 @@ so every pixel is re-estimated exactly once.
 
 The top-r triplets come from one of two paths.  Small images, where
 2 (r + _OVERSAMPLE) > min(m, n) (below 48^2 at the default rank), take
-the exact rank-path `svd` at every step: there one block power step
-costs more than the Gram eigendecomposition.  The two cost the same
-at about 52^2 for one plane and about 45^2 for a stack of three (per
-plane, one BLAS thread), so the size rule sits between; it looks at the
-plane size only, since a rule on the stack size would change a plane's
-path as its neighbours retire, and a stack would no longer step as its
-planes alone.  Larger images take the exact path, for r + _OVERSAMPLE
+the exact rank-path `svd` at every step, where one block power step
+gains little over the Gram eigendecomposition: with one BLAS thread the
+two cost the same at about 36^2 for one plane and about 30^2 per plane
+of a stack of three, so the rule is on the safe side of both.  It looks
+at the plane size only, since a rule on the stack size would change a
+plane's path as its neighbours retire, and a stack would no longer step
+as its planes alone.  Larger images take the exact path, for r + _OVERSAMPLE
 triplets, at the first step of a pass only; every later step takes the
 warm path of `svd`, one block power step from the plane's right bases of
 the step before, since the iterate moves little between steps.  A plane
@@ -292,6 +292,9 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     tuple of one ConvergenceTrace per plane, `iterations` is the total
     over planes and `converged` means every plane converged.
 
+    A plane whose anchor-masked spectral norm is 0, or whose square
+    overflows, is rejected with a ValueError before the first step.
+
     `on_iteration(t, x_hat)` is an optional instrumentation hook called
     with each projected iterate (for a stack, all k planes, retired ones
     at their final value); it must not mutate its argument.
@@ -313,6 +316,15 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     if np.any(delta == 0.0):
         raise ValueError(
             "anchor-masked image is identically zero; delta cannot be initialized"
+        )
+    # the rank step is preconditioned by delta^2, which must stay finite
+    with np.errstate(over="ignore"):
+        too_large = not np.all(np.isfinite(delta * delta))
+    if too_large:
+        raise ValueError(
+            "anchor-masked image is too large: its spectral norm must be below "
+            f"sqrt(max float) = {np.sqrt(np.finfo(np.float64).max):.3g}, "
+            f"got {delta.max():.3g}"
         )
 
     # `current`, `fixed` and `delta` hold the planes still running, whose

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from splic.linalg import _sign_fixed, svd
+
 
 def finite_difference_gradient(fn, x, step=1e-5):
     """Central finite differences of a scalar function of a matrix."""
@@ -23,3 +25,19 @@ def random_orthogonal(n, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def two_qr_svd(x, rank=None, start=None):
+    """`linalg.svd` with the warm path in its two-QR form, kept as the
+    oracle of the one-QR Rayleigh-Ritz path: Q = qr(A B), V = qr(A^T Q),
+    then the LAPACK SVD of A V; a call without a start passes through."""
+    if start is None:
+        return svd(x, rank=rank)
+    a = np.asarray(x, dtype=np.float64)
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    a = a / scale
+    q = np.linalg.qr(a @ start)[0]
+    v = np.linalg.qr(np.swapaxes(a, -1, -2) @ q)[0]
+    w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
+    return _sign_fixed(w, scale[..., 0] * s, v @ np.swapaxes(zt, -1, -2))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from splic.baselines import (
 from splic.linalg import numerical_rank, svd
 from splic.metrics import nuclear_norm, psnr
 from splic.sampling import generate_mask
-from splic.solver import SplicConfig, splic_complete
+from splic.solver import SplicConfig, relative_change, splic_complete
 from splic.testimages import add_uniform_noise, make_test_image
 
 
@@ -98,6 +99,65 @@ def test_soft_impute_stops_on_tolerance(rng):
     x = rng.uniform(size=(8, 8))
     _, count = soft_impute_with_count(x, np.ones((8, 8)), 0.0, iters=50, tol=1e-7)
     assert count < 50
+
+
+def _lapack_soft_impute(x, mask, tau, iters=200, tol=1e-7):
+    """The soft-impute loop with each SVT from the full LAPACK SVD."""
+    observed = mask == 1.0
+    z = np.where(observed, x, 0.0)
+    for done in range(1, iters + 1):
+        z_next = soft_threshold_singular(svd(np.where(observed, x, z)), tau)
+        if relative_change(z_next, z) < tol:
+            return z_next, done
+        z = z_next
+    return z, iters
+
+
+def _default_tau(x, mask):
+    # as `compare_methods` sets it
+    return 0.05 * float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
+
+
+def _assert_matches_lapack(x, mask, tau):
+    z, count = soft_impute_with_count(x, mask, tau)
+    ref, ref_count = _lapack_soft_impute(x, mask, tau)
+    assert count == ref_count
+    assert np.max(np.abs(z - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("scene", [200, 201, 202])
+def test_soft_impute_matches_the_lapack_svt_loop(scene):
+    x = add_uniform_noise(make_test_image(scene, 128), 0.05, scene)
+    for fraction in (0.3, 0.5, 0.7):
+        mask = generate_mask(128, 128, fraction, scene)
+        _assert_matches_lapack(x, mask, _default_tau(x, mask))
+
+
+@pytest.mark.parametrize("shape", [(40, 90), (90, 40)])
+def test_soft_impute_matches_the_lapack_svt_loop_off_square(shape):
+    x = add_uniform_noise(make_test_image(3, shape), 0.05, 1)
+    mask = generate_mask(*shape, 0.5, 2)
+    _assert_matches_lapack(x, mask, _default_tau(x, mask))
+
+
+def test_soft_impute_threshold_above_the_spectrum_gives_zeros():
+    x = make_test_image(4, 48)
+    mask = generate_mask(48, 48, 0.5, 1)
+    sigma_1 = float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
+    # a hair above sigma_1: at tau = sigma_1 exactly, rounding decides
+    for tau in ((1.0 + 1e-9) * sigma_1, 2.0 * sigma_1):
+        z, count = soft_impute_with_count(x, mask, tau)
+        assert np.array_equal(z, np.zeros_like(x)) and count == 2
+
+
+def test_soft_impute_of_an_all_zero_observation_is_zero_and_silent():
+    x = make_test_image(5, (24, 40))
+    cases = [(np.zeros_like(x), generate_mask(24, 40, 0.5, 3)), (x, np.zeros_like(x))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for obs, mask in cases:
+            z, count = soft_impute_with_count(obs, mask, 0.1)
+            assert np.array_equal(z, np.zeros_like(x)) and count == 1
 
 
 def test_usvt_full_mask_keeps_large_spectrum():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import two_qr_svd
 from splic.linalg import as_matrix, numerical_rank, reconstruct, svd, truncate_rank
 
 matrices = st.integers(2, 8).flatmap(
@@ -318,3 +319,31 @@ def test_warm_svd_reads_qr_as_a_plain_pair(rng, monkeypatch):
     got = svd(x, rank=5, start=start)
     for a, b in zip((got.U, got.sigma, got.V), (want.U, want.sigma, want.V)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape, rank", [((60, 40), 10), ((40, 60), 10), ((3, 50, 36), 9)])
+def test_warm_svd_matches_the_two_qr_oracle(rng, shape, rank):
+    # one QR of A^T A B spans what qr(A^T qr(A B)) spans, and the Ritz
+    # triplets of the q x q Gram matrix are those of the small SVD
+    x = _separated(shape[-2:], rng) + 1e-3 * rng.standard_normal(shape)
+    start = svd(x + 0.01 * rng.standard_normal(shape), rank=rank).V
+    got = svd(x, rank=rank, start=start)
+    want = two_qr_svd(x, rank=rank, start=start)
+    for a, b in zip((got.U, got.sigma, got.V), (want.U, want.sigma, want.V)):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_warm_svd_factors_one_qr_and_one_eigh(rng, monkeypatch):
+    x = rng.uniform(size=(2, 40, 30))
+    start = svd(x, rank=6).V
+    counts = {"qr": 0, "eigh": 0, "svd": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    svd(x, rank=6, start=start)
+    assert counts == {"qr": 1, "eigh": 1, "svd": 0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
+from conftest import two_qr_svd
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
@@ -99,6 +100,20 @@ def test_zero_anchor_image_rejected():
     mask = generate_mask(8, 8, 0.5, 0)
     with pytest.raises(ValueError, match="zero"):
         splic_complete(x, mask, SplicConfig())
+
+
+def test_too_large_image_rejected_before_the_first_step():
+    # delta^2 overflowed at 64² x 1e155: the solve leaked RuntimeWarnings
+    # and raised "non-finite values" mid-solve from `tv_value`
+    x = make_test_image(0, 64)
+    mask = generate_mask(64, 64, 0.5, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (x * 1e155, np.stack([x, x * 1e155])):
+            with pytest.raises(ValueError, match=r"too large: its spectral norm must be below"):
+                splic_complete(big, mask, SplicConfig())
+        res = splic_complete(x * 1e150, mask, SplicConfig(clamp_output=False))
+    assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
 
 
 def test_complement_of_full_mask_invalid_for_solving(rng):
@@ -566,6 +581,51 @@ def test_warm_stack_solve_equals_solo_solves(shape, tv_mode, maxiter, monkeypatc
     # the planes retire in different blocks, so the bases must follow them
     assert len({s.iterations for s in solos}) > 1
     _assert_stack_equals_solo(splic_complete(planes, mask, cfg), solos)
+
+
+@pytest.mark.parametrize("side", [48, 64, 96, 128, 256])
+def test_warm_path_matches_the_two_qr_oracle(side, monkeypatch):
+    # the one-QR Rayleigh-Ritz step against its two-QR + LAPACK SVD form
+    for scene in range(4):
+        clean = make_test_image(scene, side)
+        mask = generate_mask(side, side, 0.5, side + scene)
+        for noise in (0.0, 0.05):
+            x = add_uniform_noise(clean, noise, scene) if noise else clean
+            for tv_mode in ("exact", "paper"):
+                cfg = SplicConfig(tv_mode=tv_mode)
+                monkeypatch.setattr(solver_module, "svd", svd)
+                res = splic_complete(x, mask, cfg)
+                monkeypatch.setattr(solver_module, "svd", two_qr_svd)
+                ref = splic_complete(x, mask, cfg)
+                case = (side, scene, noise, tv_mode)
+                assert res.iterations == ref.iterations, case
+                assert np.max(np.abs(res.completed - ref.completed)) <= 1e-10, case
+
+
+def test_warm_path_on_a_graded_spectrum_and_a_flat_plane(monkeypatch):
+    # Ritz values far below sigma_1 carry the Gram path's eps * sigma_1^2 /
+    # sigma_k error: each plane must stay finite and silent, and either
+    # match the oracle or take the exact fallback
+    rng = np.random.default_rng(3)
+    graded = balanced_low_rank(64, 64, 3, 1) + 1e-9 * rng.standard_normal((64, 64))
+    flat = np.full((64, 64), 0.5)
+    mask = generate_mask(64, 64, 0.5, 9)
+    cfg = SplicConfig()
+    for plane in (graded, flat):
+        calls = _calls_with_start(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = splic_complete(plane, mask, cfg)
+        assert any(calls)  # above the crossover: the warm path ran
+        assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
+        assert all(np.isfinite(rec.srf) for rec in res.trace)
+        fell_back = not all(calls[1:-1])
+        monkeypatch.setattr(solver_module, "svd", two_qr_svd)
+        ref = splic_complete(plane, mask, cfg)
+        assert fell_back or (
+            res.iterations == ref.iterations
+            and np.max(np.abs(res.completed - ref.completed)) <= 1e-9
+        )
 
 
 def test_warm_stack_alternated_equals_solo():
