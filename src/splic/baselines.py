@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, reconstruct, svd
+from .linalg import OVERSAMPLE, SvdFactors, as_matrix, reconstruct, residual_ok, svd
 from .sampling import validate_mask
 from .solver import CompletionResult, SplicConfig, relative_change, splic_complete
 
@@ -25,6 +25,20 @@ def soft_impute(x, mask, tau: float, iters: int = 200, tol: float = 1e-7) -> np.
     Starts from the zero-filled observed matrix and stops when the
     normalized change drops below tol or the budget runs out.  Observed
     entries of the result are NOT forced back to X (soft completion).
+
+    Each SVT needs only the triplets with sigma > tau.  The first
+    iteration takes them from the rank path of `svd` at full rank, which
+    resolves them to about eps * sigma_1^2 / tau.  When an SVT keeps k
+    triplets and q = k + OVERSAMPLE satisfies 2q <= min(m, n), the next
+    iteration starts from their q right vectors instead: one block power
+    step, the warm path of `svd` (Mazumder, Hastie & Tibshirani, JMLR
+    2010).  Its q Ritz triplets are accepted only if the last one lies at
+    or below tau, so the block reaches past every kept triplet, and the
+    kept ones (the top one if none is kept) pass the residual check of
+    `linalg.residual_ok`; otherwise that iteration takes the full-rank
+    path.  The warm path moves the result by more than rounding (about
+    1e-6 on noisy 128^2 scenes); its accuracy against the full-rank path
+    is gated by a test.
     """
     z, _ = soft_impute_with_count(x, mask, tau, iters, tol)
     return z
@@ -40,18 +54,39 @@ def soft_impute_with_count(x, mask, tau, iters=200, tol=1e-7):
         raise ValueError(f"iters must be at least 1, got {iters}")
     observed = m_bits == 1.0
     z = np.where(observed, arr, 0.0)
+    basis = None
     done = 0
     for _ in range(iters):
         filled = np.where(observed, arr, z)
-        # SVT keeps only the triplets with sigma > tau, which the Gram rank
-        # path resolves to about eps * sigma_1^2 / tau
-        z_next = soft_threshold_singular(svd(filled, rank=min(arr.shape)), tau)
+        f, basis = _svt_triplets(filled, tau, basis)
+        z_next = soft_threshold_singular(f, tau)
         done += 1
         if relative_change(z_next, z) < tol:
             z = z_next
             break
         z = z_next
     return z, done
+
+
+def _svt_triplets(filled, tau, basis):
+    """The triplets of `filled` with sigma > tau, and the q right vectors
+    that warm-start the next iteration: None where 2q > min(m, n), or where
+    a warm block holds fewer than q (the kept count grew).
+
+    basis=None, or a warm block that fails its checks, takes the rank path
+    at full rank; see `soft_impute`."""
+    l = min(filled.shape)
+    f = None
+    if basis is not None:
+        f = svd(filled, rank=basis.shape[-1], start=basis)
+        kept = int(np.count_nonzero(f.sigma > tau))
+        if not (f.sigma[-1] <= tau and residual_ok(filled, f.top(max(kept, 1)))):
+            f = None
+    if f is None:
+        f = svd(filled, rank=l)
+        kept = int(np.count_nonzero(f.sigma > tau))
+    q = kept + OVERSAMPLE
+    return f.top(kept), (f.V[:, :q] if 2 * q <= l and q <= f.l else None)
 
 
 def usvt(x, mask, eta: float = 0.01) -> np.ndarray:

@@ -23,14 +23,14 @@ first, then swaps the roles of anchors and targets and completes again,
 so every pixel is re-estimated exactly once.
 
 The top-r triplets come from one of two paths.  Small images, where
-2 (r + _OVERSAMPLE) > min(m, n) (below 48^2 at the default rank), take
+2 (r + OVERSAMPLE) > min(m, n) (below 48^2 at the default rank), take
 the exact rank-path `svd` at every step, where one block power step
 gains little over the Gram eigendecomposition: with one BLAS thread the
 two cost the same at about 36^2 for one plane and about 30^2 per plane
 of a stack of three, so the rule is on the safe side of both.  It looks
 at the plane size only, since a rule on the stack size would change a
 plane's path as its neighbours retire, and a stack would no longer step
-as its planes alone.  Larger images take the exact path, for r + _OVERSAMPLE
+as its planes alone.  Larger images take the exact path, for r + OVERSAMPLE
 triplets, at the first step of a pass only; every later step takes the
 warm path of `svd`, one block power step from the plane's right bases of
 the step before, since the iterate moves little between steps.  A plane
@@ -56,7 +56,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_stack, reconstruct, svd
+from .linalg import (
+    OVERSAMPLE,
+    as_stack,
+    reconstruct,
+    residual_ok,
+    scaled_on_overflow,
+    svd,
+)
 from .sampling import complement, generate_mask, round_half_up, validate_mask
 from .srf import srf_gradient, srf_value_from_sigma
 from .tv import tv_gradient, tv_gradient_forward, tv_value
@@ -208,11 +215,16 @@ def relative_change(x_new, x_old):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m, n = a.shape[-2:]
-    # sqrt of a dot per matrix, as np.linalg.norm(., "fro") computes it
-    rows = (a - b).reshape(-1, m * n)
-    squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
-    change = np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
-    return float(change) if change.ndim == 0 else change
+
+    def change(a, b):
+        # sqrt of a dot per matrix, as np.linalg.norm(., "fro") computes it
+        rows = (a - b).reshape(-1, m * n)
+        squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
+        return np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
+
+    # a sum of squares that overflows is taken again at a power-of-two scale
+    value = scaled_on_overflow(change, 1, a, b)
+    return float(value) if value.ndim == 0 else value
 
 
 _TV_GRADIENTS = {"exact": tv_gradient, "paper": tv_gradient_forward}
@@ -234,11 +246,6 @@ def _image_stack(x) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(arr.reshape((-1,) + arr.shape[-2:])), arr.ndim == 3
 
 
-# the warm path keeps this many right vectors past the target rank, so the
-# block power step also resolves the directions just below sigma_r; with 8
-# the two-pass solve of noisy 96^2 scenes lost up to 0.08 dB to the exact path
-_OVERSAMPLE = 12
-
 _DELTA_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
@@ -246,19 +253,18 @@ def _top_r(current, r, basis):
     """The top-r singular triplets of each plane of the live stack, and
     the right bases for the next step.
 
-    basis=None takes the exact rank path for r + _OVERSAMPLE triplets.
+    basis=None takes the exact rank path for r + OVERSAMPLE triplets.
     Otherwise each plane takes the warm path from its previous bases; a
     plane whose residual ||current^T u - sigma v||_F over the top r is
     not finite or exceeds sigma_r falls back to the exact path, alone, so
     each plane of a stack gets the factors it would get alone.
     """
     if basis is None:
-        f = svd(current, rank=r + _OVERSAMPLE)
+        f = svd(current, rank=r + OVERSAMPLE)
         return f.top(r), f.V
     f = svd(current, rank=basis.shape[-1], start=basis)
     top = f.top(r)
-    residual = np.swapaxes(current, -1, -2) @ top.U - top.V * top.sigma[:, None, :]
-    bad = ~(np.linalg.norm(residual, axis=(-2, -1)) <= top.sigma[:, -1])
+    bad = ~residual_ok(current, top)
     if bad.any():
         exact = svd(current[bad], rank=basis.shape[-1])
         f.U[bad], f.sigma[bad], f.V[bad] = exact.U, exact.sigma, exact.V
@@ -305,9 +311,9 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     if m_bits.shape != (m, n):
         raise ValueError(f"mask shape {m_bits.shape} != image shape {(m, n)}")
     r = cfg.resolve_rank(m, n)
-    # where one block power step on r + _OVERSAMPLE vectors starts to cost
+    # where one block power step on r + OVERSAMPLE vectors starts to cost
     # less than the exact Gram path; see the module docstring
-    warm = 2 * (r + _OVERSAMPLE) <= min(m, n)
+    warm = 2 * (r + OVERSAMPLE) <= min(m, n)
     anchor = m_bits == 1.0
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 

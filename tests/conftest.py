@@ -27,6 +27,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def exact_svd(x, rank=None, start=None):
+    """`linalg.svd` with any warm start dropped: the exact path."""
+    return svd(x, rank=rank)
+
+
 def two_qr_svd(x, rank=None, start=None):
     """`linalg.svd` with the warm path in its two-QR form, kept as the
     oracle of the one-QR Rayleigh-Ritz path: Q = qr(A B), V = qr(A^T Q),

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import splic.baselines as baselines_module
+from conftest import exact_svd
 from splic.baselines import (
     soft_impute,
     soft_impute_with_count,
@@ -118,7 +120,9 @@ def _default_tau(x, mask):
     return 0.05 * float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
 
 
-def _assert_matches_lapack(x, mask, tau):
+def _assert_matches_lapack(x, mask, tau, monkeypatch):
+    # the Gram rank path against LAPACK: every SVT exact, no warm start
+    monkeypatch.setattr(baselines_module, "svd", exact_svd)
     z, count = soft_impute_with_count(x, mask, tau)
     ref, ref_count = _lapack_soft_impute(x, mask, tau)
     assert count == ref_count
@@ -126,18 +130,90 @@ def _assert_matches_lapack(x, mask, tau):
 
 
 @pytest.mark.parametrize("scene", [200, 201, 202])
-def test_soft_impute_matches_the_lapack_svt_loop(scene):
+def test_soft_impute_matches_the_lapack_svt_loop(scene, monkeypatch):
     x = add_uniform_noise(make_test_image(scene, 128), 0.05, scene)
     for fraction in (0.3, 0.5, 0.7):
         mask = generate_mask(128, 128, fraction, scene)
-        _assert_matches_lapack(x, mask, _default_tau(x, mask))
+        _assert_matches_lapack(x, mask, _default_tau(x, mask), monkeypatch)
 
 
 @pytest.mark.parametrize("shape", [(40, 90), (90, 40)])
-def test_soft_impute_matches_the_lapack_svt_loop_off_square(shape):
+def test_soft_impute_matches_the_lapack_svt_loop_off_square(shape, monkeypatch):
     x = add_uniform_noise(make_test_image(3, shape), 0.05, 1)
     mask = generate_mask(*shape, 0.5, 2)
-    _assert_matches_lapack(x, mask, _default_tau(x, mask))
+    _assert_matches_lapack(x, mask, _default_tau(x, mask), monkeypatch)
+
+
+def _svd_calls(monkeypatch, poison=None):
+    """Record (x, rank, warm) for every svd call soft-impute makes; `poison`
+    may alter the factors of a warm call, given its 0-based warm index."""
+    calls = []
+
+    def spy(x, rank=None, start=None):
+        f = svd(x, rank=rank, start=start)
+        warm = start is not None
+        if warm and poison is not None:
+            poison(sum(c[2] for c in calls), f)
+        calls.append((x, rank, warm))
+        return f
+
+    monkeypatch.setattr(baselines_module, "svd", spy)
+    return calls
+
+
+def test_soft_impute_goes_warm_after_an_exact_first_iteration(monkeypatch):
+    x = add_uniform_noise(make_test_image(200, 128), 0.05, 200)
+    mask = generate_mask(128, 128, 0.5, 200)
+    calls = _svd_calls(monkeypatch)
+    _, count = soft_impute_with_count(x, mask, _default_tau(x, mask))
+    assert calls[0][1:] == (128, False)
+    warm = sum(c[2] for c in calls)
+    # every warm block passed its checks here: one call per iteration
+    assert len(calls) == count and warm > count / 2
+
+
+def test_soft_impute_never_goes_warm_where_the_block_is_too_wide(monkeypatch):
+    # at tau = 0.01 sigma_1 every SVT of this 40 x 90 image keeps more
+    # than 8 triplets, so 2 (kept + OVERSAMPLE) > 40 throughout
+    x = add_uniform_noise(make_test_image(0, (40, 90)), 0.05, 0)
+    mask = generate_mask(40, 90, 0.3, 0)
+    tau = 0.2 * _default_tau(x, mask)
+    calls = _svd_calls(monkeypatch)
+    _, count = soft_impute_with_count(x, mask, tau)
+    assert len(calls) == count
+    kept = [int(np.count_nonzero(svd(c[0], rank=c[1]).sigma > tau)) for c in calls]
+    assert min(kept) > 8
+    assert not any(c[2] for c in calls)
+
+
+def _poison_last_ritz_value(f):
+    f.sigma[-1] = 1e3 * f.sigma[0]
+
+
+def _poison_a_kept_vector(f):
+    f.U[:, 0] *= -1.0  # a residual of 2 sigma_1
+
+
+@pytest.mark.parametrize("poison", [_poison_last_ritz_value, _poison_a_kept_vector])
+def test_soft_impute_warm_block_failing_a_check_takes_the_rank_path(poison, monkeypatch):
+    # a last Ritz value above tau, or a kept triplet failing the residual
+    # check, sends that iteration, and only that one, to the full rank path
+    x = add_uniform_noise(make_test_image(200, 128), 0.05, 200)
+    mask = generate_mask(128, 128, 0.5, 200)
+    tau = _default_tau(x, mask)
+    bad = 5
+    calls = _svd_calls(monkeypatch, lambda j, f: j == bad and poison(f))
+    z, count = soft_impute_with_count(x, mask, tau)
+    assert np.all(np.isfinite(z))
+    warm = [i for i, c in enumerate(calls) if c[2]]
+    hit = warm[bad]
+    # the poisoned block is followed by the full rank path on the same matrix
+    x_hit, rank, _ = calls[hit + 1]
+    assert rank == 128 and not calls[hit + 1][2]
+    assert np.array_equal(x_hit, calls[hit][0])
+    # every other iteration took one call: the fallback was this one alone
+    assert len(calls) == count + 1
+    assert calls[hit + 2][2]
 
 
 def test_soft_impute_threshold_above_the_spectrum_gives_zeros():

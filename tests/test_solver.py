@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
-from conftest import two_qr_svd
+from conftest import exact_svd, two_qr_svd
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
@@ -53,6 +53,19 @@ def test_relative_change_identical():
 def test_relative_change_hand_values():
     assert relative_change(np.ones((2, 2)), np.zeros((2, 2))) == pytest.approx(0.5)
     assert relative_change(np.ones((3, 3)), np.zeros((3, 3))) == pytest.approx(1 / 3)
+
+
+def test_relative_change_near_the_largest_float_is_exact_and_silent(rng):
+    # the sum of squares overflows from 2^510 up; the change is taken again
+    # at a power-of-two scale, so it equals the small-scale one scaled back
+    a, b = rng.uniform(-1, 1, size=(2, 3, 16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 520, 1000):
+            big = relative_change(np.ldexp(a, k), np.ldexp(b, k))
+            assert np.array_equal(big, np.ldexp(relative_change(a, b), k))
+            assert relative_change(np.ldexp(a[0], k), np.ldexp(b[0], k)) == big[0]
+            assert np.all(np.isfinite(big))
 
 
 def test_config_validation():
@@ -114,6 +127,33 @@ def test_too_large_image_rejected_before_the_first_step():
                 splic_complete(big, mask, SplicConfig())
         res = splic_complete(x * 1e150, mask, SplicConfig(clamp_output=False))
     assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
+
+
+@pytest.mark.parametrize("side, scale", [(64, 5.6e152), (64, 8e152), (256, 1.8e152)])
+def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale):
+    # the trace's sums of squares overflowed here: RuntimeWarnings leaked
+    # and `tv` read inf where the true sum was finite
+    x = add_uniform_noise(make_test_image(2, side), 0.05, 2) * scale
+    mask = generate_mask(side, side, 0.5, 1)
+    biggest = np.finfo(np.float64).max
+    for tv_mode in ("exact", "paper"):
+        frames = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = splic_complete(
+                x,
+                mask,
+                SplicConfig(tv_mode=tv_mode, maxiter=28),
+                on_iteration=lambda t, x_hat: frames.setdefault(t, x_hat),
+            )
+        for rec in res.trace:
+            assert np.isfinite(rec.rel_change), (tv_mode, rec)
+            # tv is homogeneous of degree 2, and scaling by 2^-600 is exact
+            small = tv_value(np.ldexp(frames[rec.t], -600))
+            if small > np.ldexp(biggest, -1200):
+                assert rec.tv == np.inf, (tv_mode, rec)
+            else:
+                assert rec.tv == pytest.approx(np.ldexp(small, 1200), rel=1e-12), (tv_mode, rec)
 
 
 def test_complement_of_full_mask_invalid_for_solving(rng):
@@ -350,11 +390,6 @@ def _lapack_top_r(x, rank, start=None):
     return SvdFactors(*(np.stack(parts) for parts in zip(*((f.U, f.sigma, f.V) for f in tops))))
 
 
-def _exact_svd(x, rank=None, start=None):
-    """The solver's `svd` with any warm start dropped: the exact path."""
-    return svd(x, rank=rank)
-
-
 def _full_spectrum_complete(x, mask, cfg):
     """Reference loop that zero-pads the spectrum past rank r to full length
     and rebuilds over all min(m, n) columns; returns the completed and
@@ -419,7 +454,7 @@ def test_gram_top_r_svd_matches_lapack_solve(shape, tv_mode, monkeypatch):
     mask = generate_mask(*shape, 0.5, 4)
     cfg = SplicConfig(tv_mode=tv_mode)
     # every step on the exact Gram path, as the solver takes it without a start
-    monkeypatch.setattr(solver_module, "svd", _exact_svd)
+    monkeypatch.setattr(solver_module, "svd", exact_svd)
     res = splic_complete(x, mask, cfg)
     monkeypatch.setattr(solver_module, "svd", _lapack_top_r)
     ref = splic_complete(x, mask, cfg)
@@ -652,7 +687,7 @@ def test_warm_fallback_takes_the_exact_path_per_plane(monkeypatch):
 
     monkeypatch.setattr(solver_module, "svd", poisoned)
     stacked = splic_complete(planes, mask, cfg)
-    monkeypatch.setattr(solver_module, "svd", _exact_svd)
+    monkeypatch.setattr(solver_module, "svd", exact_svd)
     exact = splic_complete(planes[1], mask, cfg)
     assert stacked.iterations == 3 * cfg.maxiter
     assert not np.array_equal(exact.completed, warm[1].completed)

@@ -1,4 +1,4 @@
-"""Accuracy gate of the solver's warm-started top-r SVD.
+"""Accuracy gates of the warm-started SVDs of the solver and of soft-impute.
 
 Above the size crossover the solver takes each step's top-r triplets from
 one block power step on the previous step's right bases, which moves the
@@ -13,13 +13,19 @@ step exact (the solver's `svd` with the start dropped), and compared.
   0.05 dB, and does not drop on average.
 - The warm outputs keep the solver's contracts: anchors bit-exact and
   completed pixels in [0, 1].
+
+Soft-impute warm-starts each singular-value threshold the same way; its
+gate is at the end of the file.
 """
 
 import numpy as np
 import pytest
 
+import splic.baselines as baselines_module
 import splic.solver as solver_module
-from splic.linalg import svd
+from conftest import exact_svd
+from splic.baselines import soft_impute_with_count
+from splic.linalg import OVERSAMPLE
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import SplicConfig, relative_change, splic_complete
@@ -33,10 +39,6 @@ TV_MODES = ("exact", "paper")
 MAX_PSNR_LOSS_DB = 0.05
 
 
-def _exact_svd(x, rank=None, start=None):
-    return svd(x, rank=rank)
-
-
 def _pass(x, mask, cfg, exact):
     """One `splic_complete` pass and its per-block changes, on the warm
     path or with every step exact."""
@@ -48,7 +50,7 @@ def _pass(x, mask, cfg, exact):
 
     with pytest.MonkeyPatch.context() as mp:
         if exact:
-            mp.setattr(solver_module, "svd", _exact_svd)
+            mp.setattr(solver_module, "svd", exact_svd)
         res = splic_complete(x, mask, cfg, on_iteration=hook)
     return res, [relative_change(b, a) for a, b in zip(ends, ends[1:])]
 
@@ -91,7 +93,7 @@ def _gate_case(x, clean, cfg, passes):
 def _cases(sizes):
     for side in sizes:
         # every size is above the crossover, or the two runs would be one
-        assert 2 * (SplicConfig().resolve_rank(side, side) + solver_module._OVERSAMPLE) <= side
+        assert 2 * (SplicConfig().resolve_rank(side, side) + OVERSAMPLE) <= side
         for scene in SCENES:
             clean = make_test_image(scene, side)
             for noise in NOISE:
@@ -114,3 +116,37 @@ def test_warm_accuracy_gate():
         worst = min(deltas)
         assert worst[0] >= -MAX_PSNR_LOSS_DB, (name, worst)
         assert np.mean([delta for delta, _ in deltas]) >= 0.0, name
+
+
+SOFT_IMPUTE_SHAPES = ((64, 64), (128, 128), (40, 90), (90, 40))
+SOFT_IMPUTE_TAUS = (0.01, 0.05)  # times sigma_1 of the masked input
+MAX_SOFT_IMPUTE_DB = 0.01
+
+
+def test_soft_impute_warm_accuracy_gate(monkeypatch):
+    # warm soft-impute against the same loop with every SVT on the exact
+    # full-rank path: per case |dPSNR| <= 0.01 dB and iterations within
+    # one, and no loss on average
+    deltas = []
+    for shape in SOFT_IMPUTE_SHAPES:
+        for scene in range(3):
+            clean = make_test_image(scene, shape)
+            x = add_uniform_noise(clean, 0.05, scene)
+            for fraction in (0.3, 0.7):
+                mask = generate_mask(*shape, fraction, scene)
+                sigma_1 = float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
+                for factor in SOFT_IMPUTE_TAUS:
+                    runs = []
+                    for exact in (False, True):
+                        with monkeypatch.context() as mp:
+                            if exact:
+                                mp.setattr(baselines_module, "svd", exact_svd)
+                            runs.append(soft_impute_with_count(x, mask, factor * sigma_1))
+                    (warm, warm_iters), (ref, ref_iters) = runs
+                    case = (shape, scene, fraction, factor)
+                    assert np.all(np.isfinite(warm)), case
+                    assert abs(warm_iters - ref_iters) <= 1, case
+                    delta = psnr(warm, clean) - psnr(ref, clean)
+                    assert abs(delta) <= MAX_SOFT_IMPUTE_DB, (case, delta)
+                    deltas.append(delta)
+    assert np.mean(deltas) >= -1e-3
