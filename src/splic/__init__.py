@@ -7,7 +7,7 @@ geometrically between iteration blocks.  A two-pass alternated mode
 re-estimates every pixel while keeping global structure intact.
 """
 
-from .baselines import soft_impute, soft_threshold_singular, srf_only, usvt
+from .baselines import soft_impute_with_count, soft_threshold_singular, srf_only, usvt
 from .image_io import (
     ConfigError,
     PnmParseError,
@@ -68,7 +68,7 @@ __all__ = [
     "read_mask",
     "reconstruct",
     "relative_change",
-    "soft_impute",
+    "soft_impute_with_count",
     "soft_threshold_singular",
     "splic_alternated",
     "splic_complete",

@@ -19,11 +19,12 @@ def soft_threshold_singular(f: SvdFactors, tau: float) -> np.ndarray:
     return reconstruct(f, np.maximum(f.sigma - tau, 0.0))
 
 
-def soft_impute(x, mask, tau: float, iters: int = 200, tol: float = 1e-7) -> np.ndarray:
+def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1e-7):
     """Fixed-point completion Z <- SVT_tau(M*X + (1-M)*Z).
 
     Starts from the zero-filled observed matrix and stops when the
-    normalized change drops below tol or the budget runs out.  Observed
+    normalized change drops below tol or the budget runs out; returns the
+    completion and the number of iterations performed.  Observed
     entries of the result are NOT forced back to X (soft completion).
 
     Each SVT needs only the triplets with sigma > tau.  The first
@@ -40,12 +41,6 @@ def soft_impute(x, mask, tau: float, iters: int = 200, tol: float = 1e-7) -> np.
     1e-6 on noisy 128^2 scenes); its accuracy against the full-rank path
     is gated by a test.
     """
-    z, _ = soft_impute_with_count(x, mask, tau, iters, tol)
-    return z
-
-
-def soft_impute_with_count(x, mask, tau, iters=200, tol=1e-7):
-    """soft_impute plus the number of iterations actually performed."""
     arr = as_matrix(x)
     m_bits = validate_mask(mask)
     if m_bits.shape != arr.shape:
@@ -74,7 +69,7 @@ def _svt_triplets(filled, tau, basis):
     a warm block holds fewer than q (the kept count grew).
 
     basis=None, or a warm block that fails its checks, takes the rank path
-    at full rank; see `soft_impute`."""
+    at full rank; see `soft_impute_with_count`."""
     l = min(filled.shape)
     f = None
     if basis is not None:

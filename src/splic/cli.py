@@ -35,9 +35,10 @@ from .linalg import numerical_rank
 from .metrics import COMPARISON_CSV_HEADER, compare_methods, comparison_rows, psnr
 from .sampling import generate_mask
 from .solver import (
-    TV_MODES,
+    FIELD_TYPES,
     ConvergenceTrace,
     SplicConfig,
+    config_key,
     splic_alternated,
     splic_complete,
 )
@@ -73,20 +74,18 @@ def _atomic_write(path: Path, data: bytes):
 
 
 def _solver_flags(parser, with_mask=True, with_fraction=True):
+    """A flag per SplicConfig field, named as its docstring says, default None."""
     if with_mask:
         parser.add_argument("--mask", help="anchor mask as PGM with values {0, maxval}")
-    if with_fraction:
-        parser.add_argument("--anchor-fraction", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--rank", type=int, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--maxiter", type=int, default=None)
-    parser.add_argument("--inner-steps", type=int, default=None)
-    parser.add_argument("--tv-mode", choices=TV_MODES, default=None)
-    parser.add_argument("--no-clamp", action="store_true")
+    for f in dataclasses.fields(SplicConfig):
+        if f.name == "anchor_fraction" and not with_fraction:
+            continue
+        kind = FIELD_TYPES[f.name][0]
+        spec = {"type": kind, "choices": f.metadata.get("choices")}
+        if kind is bool:  # the flag flips the default
+            spec = {"action": "store_const", "const": not f.default}
+        flag = f.metadata.get("flag", "--" + config_key(f).replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, **spec)
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument(
         "--add-uniform-noise",
@@ -100,26 +99,9 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
 
 def _build_config(args) -> SplicConfig:
     cfg = read_config_json(args.config) if args.config else SplicConfig()
-    overrides = {}
-    for flag, field in (
-        ("lam", "lam"),
-        ("rho", "rho"),
-        ("mu", "mu"),
-        ("rank", "r"),
-        ("epsilon", "epsilon"),
-        ("maxiter", "maxiter"),
-        ("inner_steps", "inner_steps"),
-        ("anchor_fraction", "anchor_fraction"),
-        ("seed", "seed"),
-        ("tv_mode", "tv_mode"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if args.no_clamp:
-        overrides["clamp_output"] = False
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SplicConfig)}
     try:
-        return dataclasses.replace(cfg, **overrides)
+        return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

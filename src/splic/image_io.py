@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import ConvergenceTrace, SplicConfig
+from .solver import ConvergenceTrace, SplicConfig, config_key
 
 TRACE_CSV_HEADER = "t,delta,rel_change,srf,tv"
 
@@ -293,33 +293,19 @@ def write_trace_csv(trace: ConvergenceTrace, path):
     Path(path).write_text("\n".join(trace_csv_lines(trace)) + "\n", encoding="ascii")
 
 
-# JSON keys use the external spelling "lambda"; the dataclass field is
-# `lam` because lambda is a Python keyword.
-_JSON_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_JSON = {"lam": "lambda"}
-
-
 def config_to_dict(cfg: SplicConfig) -> dict:
-    return {
-        _FIELD_TO_JSON.get(f.name, f.name): getattr(cfg, f.name)
-        for f in dataclasses.fields(cfg)
-    }
+    return {config_key(f): getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
 def config_from_dict(raw: dict, source: str = "config") -> SplicConfig:
-    """Build a SplicConfig from a JSON-style dict; absent keys keep their
-    defaults, unknown keys warn rather than fail."""
-    known = {f.name for f in dataclasses.fields(SplicConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        field = _JSON_TO_FIELD.get(key, key)
-        if field not in known or key == "lam":
-            warnings.warn(f"{source}: ignoring unknown config key {key!r}")
-            continue
-        kwargs[field] = value
+    """Build a SplicConfig from a dict keyed as `config_to_dict` writes it;
+    absent keys keep their defaults, unknown keys warn rather than fail."""
+    fields = {config_key(f): f.name for f in dataclasses.fields(SplicConfig)}
+    for key in (key for key in raw if key not in fields):
+        warnings.warn(f"{source}: ignoring unknown config key {key!r}")
     try:
-        return SplicConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return SplicConfig(**{fields[k]: v for k, v in raw.items() if k in fields})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -52,7 +52,9 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+import typing
+from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,15 +72,24 @@ from .tv import tv_gradient, tv_gradient_forward, tv_value
 
 TV_MODES = ("exact", "paper")
 
+# the class each annotated number type admits, numpy scalars included; a
+# bool, though an Integral, passes only where the annotation is bool
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
+
+
+def config_key(f: Field) -> str:
+    """The JSON key of a SplicConfig field: its name unless metadata says otherwise."""
+    return f.metadata.get("key", f.name)
+
 
 @dataclass(frozen=True)
 class SplicConfig:
     """Solver hyperparameters.
 
-    lam      weight of the TV penalty
+    lam      weight of the TV penalty (JSON key `lambda`, flag --lambda)
     rho      per-block decay of the smoothness parameter, in (0, 1)
     mu       gradient step size
-    r        target rank; None means round_half_up(min(m, n) / 4)
+    r        target rank; None means round_half_up(min(m, n) / 4) (flag --rank)
     epsilon  stop threshold on the per-block ||X_after - X_before||_F / (m * n)
     maxiter  iteration budget, exact: counts inner steps, so the last
              block may be cut short
@@ -86,22 +97,32 @@ class SplicConfig:
     anchor_fraction  fraction of pixels held fixed (two-pass mode)
     seed     mask seed (two-pass mode)
     tv_mode  "exact" or "paper" gradient variant
-    clamp_output  clip re-estimated pixels to [0, 1] once, at the end
+    clamp_output  clip re-estimated pixels to [0, 1] once, at the end (flag --no-clamp)
+
+    These fields are the one list of hyperparameters.  Each is a JSON key
+    (its name) and a CLI flag (`--` and the key, `-` for `_`; a bool's flag
+    flips it) unless noted.  A value must have its field's annotated type
+    (numpy scalars pass; a bool is no number) and is kept unconverted.
     """
 
-    lam: float = 0.02
+    lam: float = field(default=0.02, metadata={"key": "lambda"})
     rho: float = 0.45
     mu: float = 0.5
-    r: int | None = None
+    r: int | None = field(default=None, metadata={"flag": "--rank"})
     epsilon: float = 1e-4
     maxiter: int = 210
     inner_steps: int = 7
     anchor_fraction: float = 0.5
     seed: int = 0
-    tv_mode: str = "exact"
-    clamp_output: bool = True
+    tv_mode: str = field(default="exact", metadata={"choices": TV_MODES})
+    clamp_output: bool = field(default=True, metadata={"flag": "--no-clamp"})
 
     def __post_init__(self):
+        for f in fields(self):
+            value, types = getattr(self, f.name), FIELD_TYPES[f.name]
+            admits = tuple(_ADMITS.get(t, t) for t in types)
+            if not isinstance(value, admits) or isinstance(value, bool) != (bool in types):
+                raise ValueError(f"{config_key(f)} must be {f.type}, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not self.mu > 0.0:
@@ -138,6 +159,12 @@ class SplicConfig:
         if self.r > l:
             raise ValueError(f"target rank {self.r} exceeds min(m, n) = {l}")
         return self.r
+
+
+# each SplicConfig field's annotated types, `int | None` as (int, NoneType)
+FIELD_TYPES = {
+    k: typing.get_args(t) or (t,) for k, t in typing.get_type_hints(SplicConfig).items()
+}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, svd
+from .linalg import SvdFactors, svd
 
 
 def _check_delta(delta) -> np.ndarray:
@@ -26,6 +26,17 @@ def _check_delta(delta) -> np.ndarray:
     return d[..., None]
 
 
+def _exponent(s, d) -> np.ndarray:
+    """-sigma^2 / (2 delta^2), from the squares where both are finite, else
+    from (sigma / delta)^2, as 2 delta^2 overflows above delta = 9.5e153;
+    below delta = 3e152 an overflowing sigma^2 gives exp(...) = 0 either way."""
+    s2, dd2 = s**2, 2.0 * d * d
+    z = -s2 / dd2
+    if d.max() > 3e152:
+        z = np.where(np.isfinite(s2) & np.isfinite(dd2), z, -0.5 * (s / d) ** 2)
+    return z
+
+
 def srf_value_from_sigma(sigma, delta):
     """Surrogate value from a vector of singular values; an array of
     values for a (..., l) stack of them."""
@@ -35,7 +46,7 @@ def srf_value_from_sigma(sigma, delta):
     # to -inf and the term is 0, the limit the surrogate tends to (delta^2
     # itself must not underflow, or sigma = 0 gives 0 / 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = s.shape[-1] - np.exp(-(s**2) / (2.0 * d * d)).sum(axis=-1)
+        value = s.shape[-1] - np.exp(_exponent(s, d)).sum(axis=-1)
     return float(value) if value.ndim == 0 else value
 
 
@@ -57,12 +68,9 @@ def srf_gradient(f: SvdFactors, delta: float) -> np.ndarray:
     # guards: for extreme delta the exponent over/underflows; wherever the
     # exponential is 0 the product is 0 regardless of sigma/delta^2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e = np.exp(-(s**2) / (2.0 * d * d))
+        e = np.exp(_exponent(s, d))
         raw = s / (d * d) * e
+        if d.max() > 1.3e154:  # delta^2 overflows
+            raw = np.where(np.isfinite(d * d), raw, s / d / d * e)
     g = np.where(e > 0.0, raw, 0.0)
     return (f.U * g[..., None, :]) @ np.swapaxes(f.V, -1, -2)
-
-
-def srf_gradient_matrix(x, delta: float) -> np.ndarray:
-    """Convenience wrapper computing the SVD internally."""
-    return srf_gradient(svd(as_matrix(x)), delta)

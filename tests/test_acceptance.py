@@ -13,10 +13,11 @@ import numpy as np
 from conftest import finite_difference_gradient
 from splic.cli import main as cli_main
 from splic.image_io import decode_image, encode_image, write_image, PnmParseError
+from splic.linalg import svd
 from splic.metrics import psnr
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig, project, splic_complete
-from splic.srf import srf_gradient_matrix, srf_value
+from splic.srf import srf_gradient, srf_value
 from splic.testimages import add_uniform_noise, balanced_low_rank, make_test_image
 from splic.tv import tv_gradient, tv_value
 
@@ -37,7 +38,7 @@ def test_criterion_1_gradient_oracles():
         top = float(np.linalg.norm(x, 2))
         for mult in (0.5, 1.0, 2.0):
             delta = mult * top
-            grad = srf_gradient_matrix(x, delta)
+            grad = srf_gradient(svd(x), delta)
             fd = finite_difference_gradient(lambda z: srf_value(z, delta), x)
             worst = max(worst, np.abs(grad - fd).max() / np.abs(fd).max())
         grad_tv = tv_gradient(x)

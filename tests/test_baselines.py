@@ -7,7 +7,6 @@ import pytest
 import splic.baselines as baselines_module
 from conftest import exact_svd
 from splic.baselines import (
-    soft_impute,
     soft_impute_with_count,
     soft_threshold_singular,
     srf_only,
@@ -57,7 +56,7 @@ def test_soft_threshold_rejects_negative_tau(rng):
 
 def test_soft_impute_full_mask_zero_tau_is_identity(rng):
     x = rng.uniform(size=(6, 6))
-    out = soft_impute(x, np.ones((6, 6)), 0.0)
+    out = soft_impute_with_count(x, np.ones((6, 6)), 0.0)[0]
     assert np.allclose(out, x, atol=1e-10)
 
 
@@ -69,7 +68,7 @@ def test_soft_impute_rank_one_recovery():
     truth /= truth.max()
     mask = generate_mask(32, 32, 0.7, 2)
     tau = 0.1 * float(np.linalg.norm(np.where(mask == 1.0, truth, 0.0), 2))
-    out = soft_impute(truth, mask, tau, iters=200)
+    out = soft_impute_with_count(truth, mask, tau, iters=200)[0]
     assert psnr(out, truth) > 30.0
 
 
@@ -266,7 +265,7 @@ def test_usvt_within_five_db_of_soft_impute():
     mask = generate_mask(64, 64, 0.5, 11)
     out = usvt(truth, mask, 0.01)
     tau = 0.05 * float(np.linalg.norm(np.where(mask == 1.0, truth, 0.0), 2))
-    si = soft_impute(truth, mask, tau, iters=200)
+    si = soft_impute_with_count(truth, mask, tau, iters=200)[0]
     assert psnr(out, truth) > psnr(si, truth) - 5.0
 
 

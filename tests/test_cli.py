@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import io
+import json
 from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
 
-from splic.cli import _plan_groups, main
+from splic.cli import _build_config, _cfg_hash, _plan_groups, build_parser, main
 from splic.image_io import read_image, write_image, write_mask, write_trace_csv
 from splic.linalg import numerical_rank
 from splic.metrics import psnr
@@ -127,6 +129,85 @@ def test_config_file_with_flag_override(tmp_path, scene_file):
     )
     assert code == 0
     assert out1.read_bytes() != out2.read_bytes()  # override took effect
+
+
+# every solver flag the CLI has always taken, and the value it sets
+_FLAGS = {
+    "lam": (["--lambda", "0.05"], 0.05),
+    "rho": (["--rho", "0.3"], 0.3),
+    "mu": (["--mu", "0.25"], 0.25),
+    "r": (["--rank", "5"], 5),
+    "epsilon": (["--epsilon", "1e-3"], 1e-3),
+    "maxiter": (["--maxiter", "14"], 14),
+    "inner_steps": (["--inner-steps", "3"], 3),
+    "anchor_fraction": (["--anchor-fraction", "0.3"], 0.3),
+    "seed": (["--seed", "9"], 9),
+    "tv_mode": (["--tv-mode", "paper"], "paper"),
+    "clamp_output": (["--no-clamp"], False),
+}
+_COMMANDS = ("complete", "defend", "compare", "rank-sweep")
+
+
+def _parsed_args(command, *flags):
+    required = ["--input", "in.pgm", "--output", "out.pgm"]
+    if command == "rank-sweep":
+        required = ["--input", "in.pgm", "--ranks", "2", "--output-dir", "o", "--csv", "c"]
+    return build_parser().parse_args([command, *required, *flags])
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SplicConfig)])
+def test_each_config_field_keeps_its_flag(command, name):
+    flag, value = _FLAGS[name]
+    args = _parsed_args(command, *flag)
+    cfg = _build_config(args)
+    if command == "compare" and name == "anchor_fraction":
+        # compare's --anchor-fraction is its sweep, not the config field
+        assert args.fraction_sweep == "0.3" and cfg == SplicConfig()
+        return
+    assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value)
+    assert dataclasses.replace(cfg, **{name: getattr(SplicConfig(), name)}) == SplicConfig()
+    assert _build_config(_parsed_args(command)) == SplicConfig()
+
+
+def test_default_cfg_hash_is_pinned():
+    # the hash is in every output header; a changed key or value moves it
+    assert _cfg_hash(SplicConfig()) == "573f67945ee7"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"maxiter": 10.5},
+        {"seed": 1.5},
+        {"r": 5.5},
+        {"r": True},
+        {"clamp_output": "no"},
+    ],
+)
+def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, scene_file, raw):
+    # these crashed mid-run with a TypeError, or (clamp_output) clamped anyway
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "o.pgm"
+    code, err = run_cli(
+        "complete", "--input", scene_file, "--output", out, "--config", cfg_path
+    )
+    assert code == 2
+    (key,) = raw
+    assert err.startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["complete", "defend"])
+def test_all_black_image_exits_2(tmp_path, command):
+    src = tmp_path / "black.pgm"
+    write_image(np.zeros((16, 16)), src)
+    out = tmp_path / "o.pgm"
+    code, err = run_cli(command, "--input", src, "--output", out)
+    assert code == 2
+    assert "identically zero" in err
+    assert not out.exists()
 
 
 def test_defend_trace_contains_two_passes(tmp_path, scene_file):

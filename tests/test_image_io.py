@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from splic.image_io import (
     PnmTruncatedError,
     TRACE_CSV_HEADER,
     config_from_dict,
+    config_to_dict,
     decode_image,
     encode_image,
     read_config_json,
@@ -326,6 +328,51 @@ def test_config_unknown_key_warns_not_fails():
     assert cfg.mu == 0.7
     assert len(caught) == 1
     assert "bogus" in str(caught[0].message)
+
+
+# every JSON key configs have always used, with a non-default value
+_KEY_VALUES = {
+    "lambda": 0.05,
+    "rho": 0.3,
+    "mu": 0.25,
+    "r": 5,
+    "epsilon": 1e-3,
+    "maxiter": 14,
+    "inner_steps": 3,
+    "anchor_fraction": 0.3,
+    "seed": 9,
+    "tv_mode": "paper",
+    "clamp_output": False,
+}
+
+
+def test_config_keys_are_the_documented_ones():
+    assert list(config_to_dict(SplicConfig())) == list(_KEY_VALUES)
+
+
+@pytest.mark.parametrize("key", list(_KEY_VALUES))
+def test_config_key_round_trips(tmp_path, key):
+    value = _KEY_VALUES[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = read_config_json(path)
+        assert cfg != SplicConfig()
+        raw = config_to_dict(cfg)
+        assert raw[key] == value and type(raw[key]) is type(value)
+        assert config_from_dict(json.loads(json.dumps(raw))) == cfg
+
+
+def test_config_field_name_lam_is_not_a_key():
+    with pytest.warns(UserWarning, match="unknown config key 'lam'"):
+        cfg = config_from_dict({"lam": 0.05})
+    assert cfg == SplicConfig()
+
+
+def test_config_value_of_the_wrong_type_is_a_config_error():
+    with pytest.raises(ConfigError, match="lambda must be float"):
+        config_from_dict({"lambda": "0.05"})
 
 
 def test_config_malformed_json(tmp_path):

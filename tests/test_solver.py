@@ -83,6 +83,38 @@ def test_config_validation():
         SplicConfig(r=0)
 
 
+@pytest.mark.parametrize(
+    "name, value, key",
+    [
+        ("maxiter", 10.5, "maxiter"),
+        ("seed", 1.5, "seed"),
+        ("r", 5.5, "r"),
+        ("r", True, "r"),
+        ("inner_steps", False, "inner_steps"),
+        ("clamp_output", "no", "clamp_output"),
+        ("clamp_output", 0, "clamp_output"),
+        ("lam", "0.01", "lambda"),
+        ("rho", None, "rho"),
+        ("epsilon", True, "epsilon"),
+        ("tv_mode", 1, "tv_mode"),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_type(name, value, key):
+    # these crashed mid-solve with a TypeError, or (clamp_output) were
+    # taken as true
+    with pytest.raises(ValueError, match=rf"^{key} must be "):
+        SplicConfig(**{name: value})
+
+
+def test_config_keeps_numpy_scalars_and_ints_as_given():
+    cfg = SplicConfig(
+        r=np.int64(5), maxiter=np.int32(14), seed=np.uint8(3), lam=np.float32(0.01), mu=1
+    )
+    assert (type(cfg.r), type(cfg.maxiter), type(cfg.seed)) == (np.int64, np.int32, np.uint8)
+    assert (type(cfg.lam), type(cfg.mu)) == (np.float32, int)
+    assert SplicConfig(r=None).r is None
+
+
 def test_tv_step_bound_mu_times_lambda():
     # the explicit TV step diverges once mu * lambda exceeds 1/4
     assert SplicConfig(lam=0.5).lam == 0.5
@@ -115,6 +147,21 @@ def test_zero_anchor_image_rejected():
         splic_complete(x, mask, SplicConfig())
 
 
+@pytest.mark.parametrize("side", [32, 64, 128])
+def test_inputs_near_the_smallest_floats_finish_silently(side):
+    # inputs scaled to 1e-300 once leaked `invalid value` RuntimeWarnings
+    clean = make_test_image(1, side)
+    mask = generate_mask(side, side, 0.5, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (clean, add_uniform_noise(clean, 0.05, 2)):
+            for scale in (1e-300, 1e-305):
+                for tv_mode in ("exact", "paper"):
+                    res = splic_complete(x * scale, mask, SplicConfig(tv_mode=tv_mode))
+                    assert np.all(np.isfinite(res.completed)), (scale, tv_mode)
+                    assert np.all(np.isfinite(res.low_rank)), (scale, tv_mode)
+
+
 def test_too_large_image_rejected_before_the_first_step():
     # delta^2 overflowed at 64² x 1e155: the solve leaked RuntimeWarnings
     # and raised "non-finite values" mid-solve from `tv_value`
@@ -132,7 +179,8 @@ def test_too_large_image_rejected_before_the_first_step():
 @pytest.mark.parametrize("side, scale", [(64, 5.6e152), (64, 8e152), (256, 1.8e152)])
 def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale):
     # the trace's sums of squares overflowed here: RuntimeWarnings leaked
-    # and `tv` read inf where the true sum was finite
+    # and `tv` read inf where the true sum was finite; `srf` read NaN where
+    # 2 delta^2 overflowed
     x = add_uniform_noise(make_test_image(2, side), 0.05, 2) * scale
     mask = generate_mask(side, side, 0.5, 1)
     biggest = np.finfo(np.float64).max
@@ -147,7 +195,7 @@ def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale)
                 on_iteration=lambda t, x_hat: frames.setdefault(t, x_hat),
             )
         for rec in res.trace:
-            assert np.isfinite(rec.rel_change), (tv_mode, rec)
+            assert np.isfinite(rec.rel_change) and np.isfinite(rec.srf), (tv_mode, rec)
             # tv is homogeneous of degree 2, and scaling by 2^-600 is exact
             small = tv_value(np.ldexp(frames[rec.t], -600))
             if small > np.ldexp(biggest, -1200):

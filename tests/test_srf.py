@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference_gradient, random_orthogonal
-from splic.linalg import svd
-from splic.srf import srf_gradient, srf_gradient_matrix, srf_value, srf_value_from_sigma
+from splic.linalg import SvdFactors, svd
+from splic.srf import srf_gradient, srf_value, srf_value_from_sigma
 
 
 def test_zero_matrix_has_zero_value():
@@ -63,7 +65,7 @@ def test_gradient_direct_evaluation():
 def test_gradient_matches_finite_differences(rng):
     x = rng.uniform(size=(6, 6))
     delta = float(np.linalg.norm(x, 2))
-    g = srf_gradient_matrix(x, delta)
+    g = srf_gradient(svd(x), delta)
     fd = finite_difference_gradient(lambda z: srf_value(z, delta), x)
     assert np.abs(g - fd).max() < 1e-6
 
@@ -74,7 +76,7 @@ def test_gradient_finite_difference_relative_error(rng):
         top = float(np.linalg.norm(x, 2))
         for mult in (0.5, 1.0, 2.0):
             delta = mult * top
-            g = srf_gradient_matrix(x, delta)
+            g = srf_gradient(svd(x), delta)
             fd = finite_difference_gradient(lambda z: srf_value(z, delta), x)
             rel = np.abs(g - fd).max() / np.abs(fd).max()
             assert rel < 1e-5
@@ -107,3 +109,36 @@ def test_srf_on_a_stack_uses_each_matrix_delta(rng):
         assert values[j] == srf_value_from_sigma(alone.sigma, deltas[j])
     with pytest.raises(ValueError, match="delta"):
         srf_gradient(f, np.array([1.0, 0.0, 1.0]))
+
+
+def test_large_delta_where_two_delta_squared_overflows():
+    # 2 delta^2 overflows above delta = 9.5e153, inside the solver's limit:
+    # the value read NaN and the first gradient entry 0
+    sigma = np.array([1.5e154, 0.5e154])
+    delta = 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = srf_value_from_sigma(sigma, delta)
+        g = srf_gradient(SvdFactors(np.eye(2), sigma, np.eye(2)), delta)
+    ratio = sigma / delta
+    assert value == pytest.approx(2.0 - np.exp(-0.5 * ratio**2).sum(), rel=1e-14)
+    assert value == pytest.approx(0.7929, abs=1e-4)
+    expected = ratio / delta * np.exp(-0.5 * ratio**2)
+    assert np.allclose(np.diag(g), expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(np.diag(g), [4.87e-155, 4.41e-155], rtol=1e-3, atol=0.0)
+
+
+def test_value_and_gradient_unchanged_where_the_squares_are_finite(rng):
+    # the overflow fallback must not move a single bit where sigma^2 and
+    # 2 delta^2 are finite, however their quotient over- or underflows
+    s = 10.0 ** rng.uniform(-200.0, 153.9, (2000, 3))
+    s[::5, 0] = 0.0
+    d = (10.0 ** rng.uniform(-160.0, 153.9, 2000))[:, None]
+    with np.errstate(all="ignore"):
+        e = np.exp(-(s**2) / (2.0 * d * d))
+        raw = s / (d * d) * e
+    assert np.all(np.isfinite(s**2)) and np.all(np.isfinite(2.0 * d * d))
+    eye = np.broadcast_to(np.eye(3), (2000, 3, 3))
+    g = srf_gradient(SvdFactors(eye, s, eye), d[:, 0])
+    assert np.array_equal(srf_value_from_sigma(s, d[:, 0]), 3 - e.sum(axis=-1))
+    assert np.array_equal(np.diagonal(g, axis1=-2, axis2=-1), np.where(e > 0.0, raw, 0.0))
