@@ -11,7 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from splic.metrics import COMPARISON_CSV_HEADER, compare_methods, comparison_rows
+from splic.metrics import (
+    COMPARISON_CSV_HEADER,
+    METHOD_NAMES,
+    compare_methods,
+    comparison_rows,
+)
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig
 from splic.testimages import make_test_image
@@ -41,10 +46,9 @@ def main():
     Path(args.out).write_text("\n".join(lines) + "\n")
 
     print("mean PSNR (dB) by fraction and method:")
-    methods = ("splic", "srf", "soft-impute", "usvt")
-    print("fraction  " + "  ".join(f"{m:>11}" for m in methods))
+    print("fraction  " + "  ".join(f"{m:>11}" for m in METHOD_NAMES))
     for frac in fractions:
-        row = "  ".join(f"{np.mean(sums[(frac, m)]):11.2f}" for m in methods)
+        row = "  ".join(f"{np.mean(sums[(frac, m)]):11.2f}" for m in METHOD_NAMES)
         print(f"{frac:<8}  {row}")
     print(f"records written to {args.out}")
 

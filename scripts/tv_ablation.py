@@ -6,10 +6,10 @@ inputs and reports per-image and mean PSNR against the clean scenes.
 """
 
 import argparse
-import dataclasses
 
 import numpy as np
 
+from splic.baselines import srf_only
 from splic.metrics import psnr
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig, splic_complete
@@ -25,7 +25,6 @@ def main():
     args = ap.parse_args()
 
     cfg = SplicConfig()
-    bare = dataclasses.replace(cfg, lam=0.0)
     gains = []
     print("image  with TV   without   gain")
     for i in range(args.count):
@@ -33,7 +32,7 @@ def main():
         noisy = add_uniform_noise(clean, args.noise, 100 + i)
         mask = generate_mask(args.size, args.size, 0.5, args.seed + i)
         with_tv = psnr(splic_complete(noisy, mask, cfg).completed, clean)
-        without = psnr(splic_complete(noisy, mask, bare).completed, clean)
+        without = psnr(srf_only(noisy, mask, cfg).completed, clean)
         gains.append(with_tv - without)
         print(f"{i:>5}  {with_tv:7.2f}  {without:7.2f}  {with_tv - without:+6.2f}")
     print(f"mean gain from the TV term: {np.mean(gains):+.2f} dB")

@@ -18,24 +18,22 @@ from .image_io import (
     read_image,
     read_mask,
     write_image,
-    write_mask,
     write_trace_csv,
 )
-from .linalg import SvdFactors, as_matrix, numerical_rank, reconstruct, svd, truncate_rank
-from .metrics import MethodResult, compare_methods, nuclear_norm, psnr
+from .linalg import SvdFactors, as_matrix, numerical_rank, reconstruct, svd
+from .metrics import MethodResult, compare_methods, psnr
 from .sampling import complement, generate_mask
 from .solver import (
     CompletionResult,
     ConvergenceTrace,
     SplicConfig,
     TraceRecord,
-    project,
     relative_change,
     splic_alternated,
     splic_complete,
 )
-from .srf import srf_gradient, srf_value
-from .testimages import add_uniform_noise, balanced_low_rank, make_test_image, test_corpus
+from .srf import srf_gradient
+from .testimages import add_uniform_noise, balanced_low_rank, make_test_image
 from .tv import tv_gradient, tv_gradient_forward, tv_value
 
 __version__ = "0.1.0"
@@ -59,9 +57,7 @@ __all__ = [
     "encode_image",
     "generate_mask",
     "make_test_image",
-    "nuclear_norm",
     "numerical_rank",
-    "project",
     "psnr",
     "read_config_json",
     "read_image",
@@ -74,15 +70,11 @@ __all__ = [
     "splic_complete",
     "srf_gradient",
     "srf_only",
-    "srf_value",
     "svd",
-    "test_corpus",
-    "truncate_rank",
     "tv_gradient",
     "tv_gradient_forward",
     "tv_value",
     "usvt",
     "write_image",
-    "write_mask",
     "write_trace_csv",
 ]

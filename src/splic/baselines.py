@@ -7,14 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import OVERSAMPLE, SvdFactors, as_matrix, reconstruct, residual_ok, svd
+from .linalg import SvdFactors, as_matrix, reconstruct, residual_ok, svd, warm_rank
 from .sampling import validate_mask
 from .solver import CompletionResult, SplicConfig, relative_change, splic_complete
 
 
 def soft_threshold_singular(f: SvdFactors, tau: float) -> np.ndarray:
     """Shrink every singular value by tau (clamped at zero) and rebuild."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     return reconstruct(f, np.maximum(f.sigma - tau, 0.0))
 
@@ -30,9 +30,9 @@ def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1
     Each SVT needs only the triplets with sigma > tau.  The first
     iteration takes them from the rank path of `svd` at full rank, which
     resolves them to about eps * sigma_1^2 / tau.  When an SVT keeps k
-    triplets and q = k + OVERSAMPLE satisfies 2q <= min(m, n), the next
-    iteration starts from their q right vectors instead: one block power
-    step, the warm path of `svd` (Mazumder, Hastie & Tibshirani, JMLR
+    triplets and `linalg.warm_rank` gives a block width q for them, the
+    next iteration starts from their q right vectors instead: one block
+    power step, the warm path of `svd` (Mazumder, Hastie & Tibshirani, JMLR
     2010).  Its q Ritz triplets are accepted only if the last one lies at
     or below tau, so the block reaches past every kept triplet, and the
     kept ones (the top one if none is kept) pass the residual check of
@@ -65,12 +65,11 @@ def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1
 
 def _svt_triplets(filled, tau, basis):
     """The triplets of `filled` with sigma > tau, and the q right vectors
-    that warm-start the next iteration: None where 2q > min(m, n), or where
-    a warm block holds fewer than q (the kept count grew).
+    that warm-start the next iteration: None where `warm_rank` gives no q,
+    or where a warm block holds fewer than q (the kept count grew).
 
     basis=None, or a warm block that fails its checks, takes the rank path
     at full rank; see `soft_impute_with_count`."""
-    l = min(filled.shape)
     f = None
     if basis is not None:
         f = svd(filled, rank=basis.shape[-1], start=basis)
@@ -78,10 +77,10 @@ def _svt_triplets(filled, tau, basis):
         if not (f.sigma[-1] <= tau and residual_ok(filled, f.top(max(kept, 1)))):
             f = None
     if f is None:
-        f = svd(filled, rank=l)
+        f = svd(filled, rank=min(filled.shape))
         kept = int(np.count_nonzero(f.sigma > tau))
-    q = kept + OVERSAMPLE
-    return f.top(kept), (f.V[:, :q] if 2 * q <= l and q <= f.l else None)
+    q = warm_rank(kept, *filled.shape)
+    return f.top(kept), (f.V[:, :q] if q is not None and q <= f.l else None)
 
 
 def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
@@ -91,7 +90,7 @@ def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
     keeps only singular values above (1 + eta) * sqrt(n * p_hat), and
     clips the rebuilt matrix to [0, 1].
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
     arr = as_matrix(x)
     m_bits = validate_mask(mask)

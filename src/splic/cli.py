@@ -21,8 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .image_io import (
-    ConfigError,
-    PnmParseError,
     config_to_dict,
     encode_image,
     read_config_json,
@@ -32,7 +30,7 @@ from .image_io import (
     write_trace_csv,
 )
 from .linalg import numerical_rank
-from .metrics import COMPARISON_CSV_HEADER, compare_methods, comparison_rows, psnr
+from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, comparison_rows, psnr
 from .sampling import generate_mask
 from .solver import (
     FIELD_TYPES,
@@ -49,10 +47,6 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
-
-
-class CliError(ValueError):
-    """Maps to exit code 2."""
 
 
 def _cfg_hash(cfg: SplicConfig) -> str:
@@ -100,10 +94,7 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
 def _build_config(args) -> SplicConfig:
     cfg = read_config_json(args.config) if args.config else SplicConfig()
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SplicConfig)}
-    try:
-        return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _read_image(path, args, cfg) -> np.ndarray:
@@ -132,7 +123,7 @@ def _read_stack(paths, args, cfg) -> tuple[np.ndarray, list[tuple]]:
 def _read_input(args, cfg) -> np.ndarray:
     p = Path(args.input)
     if not p.is_file():
-        raise CliError(f"input file not found: {p}")
+        raise ValueError(f"input file not found: {p}")
     return _read_image(p, args, cfg)
 
 
@@ -181,7 +172,7 @@ def _defend_one(image, cfg):
 
 def cmd_defend(args) -> int:
     if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _build_config(args)
     if args.batch:
         return _defend_batch(args, cfg)
@@ -235,17 +226,17 @@ def _defend_batch(args, cfg) -> int:
     """
     in_dir = Path(args.input)
     if not in_dir.is_dir():
-        raise CliError(f"--batch needs an input directory, got {in_dir}")
+        raise ValueError(f"--batch needs an input directory, got {in_dir}")
     files = sorted(
         p for p in in_dir.iterdir() if p.suffix.lower() in IMAGE_SUFFIXES
     )
     if not files:
-        raise CliError(f"no PGM/PPM files in {in_dir}")
+        raise ValueError(f"no PGM/PPM files in {in_dir}")
     ref_dir = Path(args.reference_dir) if args.reference_dir else None
     if ref_dir is not None:
         for path in files:
             if not (ref_dir / path.name).is_file():
-                raise CliError(f"reference file missing: {ref_dir / path.name}")
+                raise ValueError(f"reference file missing: {ref_dir / path.name}")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -303,9 +294,9 @@ def _parse_fractions(text) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad fraction list {text!r}") from exc
+        raise ValueError(f"bad fraction list {text!r}") from exc
     if not values or any(not 0.0 < v <= 1.0 for v in values):
-        raise CliError(f"fractions must lie in (0, 1]: {text!r}")
+        raise ValueError(f"fractions must lie in (0, 1]: {text!r}")
     return values
 
 
@@ -313,13 +304,13 @@ def cmd_compare(args) -> int:
     cfg = _build_config(args)
     corrupt = _read_input(args, cfg)
     if corrupt.ndim != 2:
-        raise CliError("compare works on single-channel images")
+        raise ValueError("compare works on single-channel images")
     ref_path = Path(args.reference) if args.reference else Path(args.input)
     if not ref_path.is_file():
-        raise CliError(f"reference file not found: {ref_path}")
+        raise ValueError(f"reference file not found: {ref_path}")
     clean = read_image(ref_path)
     if clean.ndim != 2 or clean.shape != corrupt.shape:
-        raise CliError("reference must be a single-channel image of the same shape")
+        raise ValueError("reference must be a single-channel image of the same shape")
     fractions = _parse_fractions(args.fraction_sweep)
     m, n = corrupt.shape
     lines = ["fraction," + COMPARISON_CSV_HEADER]
@@ -338,14 +329,14 @@ def cmd_rank_sweep(args) -> int:
     cfg = _build_config(args)
     image = _read_input(args, cfg)
     if image.ndim != 2:
-        raise CliError("rank-sweep works on single-channel images")
+        raise ValueError("rank-sweep works on single-channel images")
     m, n = image.shape
     try:
         ranks = [int(tok) for tok in args.ranks.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad rank list {args.ranks!r}") from exc
+        raise ValueError(f"bad rank list {args.ranks!r}") from exc
     if not ranks or any(r < 1 or r > min(m, n) for r in ranks):
-        raise CliError(f"ranks must lie in [1, {min(m, n)}]: {args.ranks!r}")
+        raise ValueError(f"ranks must lie in [1, {min(m, n)}]: {args.ranks!r}")
     reference = read_image(args.reference) if args.reference else image
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
     out_dir = Path(args.output_dir)
@@ -355,7 +346,7 @@ def cmd_rank_sweep(args) -> int:
     for r in ranks:
         run_cfg = dataclasses.replace(cfg, r=r)
         res = splic_complete(image, mask, run_cfg)
-        rank_out = numerical_rank(res.low_rank, 1e-6)
+        rank_out = numerical_rank(res.low_rank, RANK_TOL)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
         _write_output(res.low_rank, out_dir / f"{stem}_r{r}.pgm", run_cfg)
@@ -424,7 +415,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CliError, ConfigError, PnmParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

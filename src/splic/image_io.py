@@ -41,11 +41,7 @@ class PnmTruncatedError(PnmParseError):
 
 
 class ConfigError(ValueError):
-    """Bad solver config file; `key` names the offending entry when known."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message if key is None else f"{key}: {message}")
-        self.key = key
+    """Bad solver config file."""
 
 
 class _Scanner:
@@ -137,29 +133,11 @@ def _parse_header(scanner: _Scanner) -> tuple[bytes, int, int, int]:
 
 
 def read_header(path) -> tuple[int, int, int]:
-    """`(channels, m, n)` of a PGM/PPM file, read from its header alone.
-
-    Reads a growing prefix of the file until the header ends inside it,
-    so the result and any `PnmParseError` (message and offset) are those
-    `decode_image` gives for the whole file's header.
-    """
-    size = 1024
-    with open(path, "rb") as fh:
-        data = fh.read(size)
-        while True:
-            at_eof = len(data) < size
-            scanner = _Scanner(data)
-            try:
-                magic, width, height, _ = _parse_header(scanner)
-            except PnmParseError:
-                if at_eof:
-                    raise
-            else:
-                # the maxval token must end before the prefix does
-                if at_eof or scanner.pos < len(data):
-                    return _MAGIC_CHANNELS[magic], height, width
-            data += fh.read(size * 3)
-            size *= 4
+    """`(channels, m, n)` of a PGM/PPM file, from its header parsed as
+    `decode_image` parses it, so any `PnmParseError` (message and offset)
+    is the one `decode_image` gives; the payload is not decoded."""
+    magic, width, height, _ = _parse_header(_Scanner(Path(path).read_bytes()))
+    return _MAGIC_CHANNELS[magic], height, width
 
 
 def decode_image(data: bytes) -> np.ndarray:
@@ -211,9 +189,10 @@ def encode_image(
 ) -> bytes:
     """Quantize to integers (round-half-up) and encode as PGM/PPM bytes.
 
-    Values must lie in [0, 1] unless clamp is set.  fmt defaults to the
-    binary format matching the array's shape (P5 for a plane, P6 for a
-    3-channel stack).  Comment lines go right after the magic number.
+    Values must lie in [0, 1] unless clamp is set; NaN is rejected either
+    way.  fmt defaults to the binary format matching the array's shape (P5
+    for a plane, P6 for a 3-channel stack).  Comment lines go right after
+    the magic number.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
@@ -224,11 +203,12 @@ def encode_image(
         raise ValueError(f"expected (m, n) or (3, m, n), got shape {arr.shape}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
+    # clipping would keep a NaN, which has no pixel value
+    if np.isnan(planes).any():
+        raise ValueError("pixel values contain NaN")
     if clamp:
         planes = np.clip(planes, 0.0, 1.0)
-    elif np.any(planes < 0.0) or np.any(planes > 1.0) or not np.all(
-        np.isfinite(planes)
-    ):
+    elif np.any(planes < 0.0) or np.any(planes > 1.0):
         raise ValueError("pixel values outside [0, 1]; pass clamp=True to clip")
 
     if fmt is None:
@@ -263,11 +243,6 @@ def encode_image(
 
 def write_image(x, path, fmt=None, maxval=255, comments=(), clamp=False):
     Path(path).write_bytes(encode_image(x, fmt, maxval, comments, clamp))
-
-
-def write_mask(mask, path, maxval: int = 255):
-    """Store a {0,1} mask as PGM with values {0, maxval}."""
-    write_image(np.asarray(mask, dtype=np.float64), path, maxval=maxval)
 
 
 def read_mask(path) -> np.ndarray:

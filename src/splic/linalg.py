@@ -185,7 +185,16 @@ def _warm_top(a, scale, rank, start) -> SvdFactors:
 # they need, so the block power step also resolves the directions just
 # below them; with 8 the solver's two-pass solve of noisy 96^2 scenes lost
 # up to 0.08 dB to the exact path
-OVERSAMPLE = 12
+_OVERSAMPLE = 12
+
+
+def warm_rank(k: int, m: int, n: int) -> int | None:
+    """How many right vectors a warm start of `svd` keeps for the leading
+    k triplets of an m x n matrix: q = k + _OVERSAMPLE, or None where
+    2q > min(m, n), since there one block power step spans more than half
+    the spectrum and gains little over the exact rank path."""
+    q = k + _OVERSAMPLE
+    return q if 2 * q <= min(m, n) else None
 
 
 def residual_ok(x, f: SvdFactors) -> np.ndarray:
@@ -228,16 +237,9 @@ def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:
     return (f.U * s[..., None, :]) @ np.swapaxes(f.V, -1, -2)
 
 
-def truncate_rank(f: SvdFactors, r: int) -> np.ndarray:
-    """Rebuild the matrix from its leading r singular triplets."""
-    if not 1 <= r <= f.l:
-        raise ValueError(f"rank r must be in [1, {f.l}], got {r}")
-    return reconstruct(f.top(r))
-
-
 def numerical_rank(x, tol: float) -> int:
     """Number of singular values exceeding tol times the largest one."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     s = svd(x).sigma
     if s.size == 0 or s[0] == 0.0:

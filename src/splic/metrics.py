@@ -9,12 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import soft_impute_with_count, srf_only, usvt
-from .linalg import numerical_rank, svd
+from .linalg import numerical_rank
 from .solver import SplicConfig, splic_complete
 
 METHOD_NAMES = ("splic", "srf", "soft-impute", "usvt")
 
 COMPARISON_CSV_HEADER = "method,psnr_db,rank,iters,seconds"
+
+# relative singular-value cutoff of every reported numerical rank
+RANK_TOL = 1e-6
 
 
 def psnr(a, b, peak: float = 1.0) -> float:
@@ -23,7 +26,7 @@ def psnr(a, b, peak: float = 1.0) -> float:
     Works on single planes and on channel stacks (MSE pooled over all
     entries either way).
     """
-    if peak <= 0:
+    if not peak > 0:
         raise ValueError(f"peak must be positive, got {peak}")
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
@@ -33,11 +36,6 @@ def psnr(a, b, peak: float = 1.0) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
-
-
-def nuclear_norm(x) -> float:
-    """Sum of singular values."""
-    return float(np.sum(svd(x).sigma))
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ def compare_methods(
     cfg: SplicConfig,
     tau: float | None = None,
     eta: float = 0.01,
-    rank_tol: float = 1e-6,
 ) -> list[MethodResult]:
     """Run all four completers on (x_corrupt, mask) and score against x_clean.
 
@@ -90,7 +87,7 @@ def compare_methods(
             MethodResult(
                 method=method,
                 psnr_db=psnr(completed, x_clean),
-                rank=numerical_rank(surface, rank_tol),
+                rank=numerical_rank(surface, RANK_TOL),
                 iters=iters,
                 seconds=time.perf_counter() - start,
             )

@@ -23,15 +23,15 @@ first, then swaps the roles of anchors and targets and completes again,
 so every pixel is re-estimated exactly once.
 
 The top-r triplets come from one of two paths.  Small images, where
-2 (r + OVERSAMPLE) > min(m, n) (below 48^2 at the default rank), take
-the exact rank-path `svd` at every step, where one block power step
-gains little over the Gram eigendecomposition: with one BLAS thread the
-two cost the same at about 36^2 for one plane and about 30^2 per plane
-of a stack of three, so the rule is on the safe side of both.  It looks
-at the plane size only, since a rule on the stack size would change a
-plane's path as its neighbours retire, and a stack would no longer step
-as its planes alone.  Larger images take the exact path, for r + OVERSAMPLE
-triplets, at the first step of a pass only; every later step takes the
+`linalg.warm_rank` gives no block width q (below 48^2 at the default
+rank), take the exact rank-path `svd` at every step, where one block
+power step gains little over the Gram eigendecomposition: with one BLAS
+thread the two cost the same at about 36^2 for one plane and about 30^2
+per plane of a stack of three, so the rule is on the safe side of both.
+It looks at the plane size only, since a rule on the stack size would
+change a plane's path as its neighbours retire, and a stack would no
+longer step as its planes alone.  Larger images take the exact path, for
+q triplets, at the first step of a pass only; every later step takes the
 warm path of `svd`, one block power step from the plane's right bases of
 the step before, since the iterate moves little between steps.  A plane
 whose warm triplets fail the check ||current^T u - sigma v||_F <=
@@ -58,14 +58,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import (
-    OVERSAMPLE,
-    as_stack,
-    reconstruct,
-    residual_ok,
-    scaled_on_overflow,
-    svd,
-)
+from .linalg import as_stack, reconstruct, residual_ok, scaled_on_overflow, svd, warm_rank
 from .sampling import complement, generate_mask, round_half_up, validate_mask
 from .srf import srf_gradient, srf_value_from_sigma
 from .tv import tv_gradient, tv_gradient_forward, tv_value
@@ -127,7 +120,7 @@ class SplicConfig:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
         # the TV Hessian has spectral norm below 8, so the explicit TV step
         # x - mu * lam * grad is stable only while mu * lam <= 1/4
@@ -222,18 +215,6 @@ class CompletionResult:
     converged: bool
 
 
-def project(x_tilde, x, mask) -> np.ndarray:
-    """Reset anchor pixels to their fixed values: mask==1 takes x, else x_tilde."""
-    xt = np.asarray(x_tilde, dtype=np.float64)
-    xa = np.asarray(x, dtype=np.float64)
-    m = validate_mask(mask)
-    if xt.shape != xa.shape or xt.shape != m.shape:
-        raise ValueError(
-            f"shape mismatch: {xt.shape} vs {xa.shape} vs mask {m.shape}"
-        )
-    return np.where(m == 1.0, xa, xt)
-
-
 def relative_change(x_new, x_old):
     """Frobenius norm of the difference divided by m*n (not sqrt(m*n));
     an array of one value per matrix for a (..., m, n) stack."""
@@ -276,24 +257,24 @@ def _image_stack(x) -> tuple[np.ndarray, bool]:
 _DELTA_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
-def _top_r(current, r, basis):
+def _top_r(current, r, q, basis):
     """The top-r singular triplets of each plane of the live stack, and
-    the right bases for the next step.
+    the q right bases for the next step.
 
-    basis=None takes the exact rank path for r + OVERSAMPLE triplets.
+    basis=None takes the exact rank path for q triplets.
     Otherwise each plane takes the warm path from its previous bases; a
     plane whose residual ||current^T u - sigma v||_F over the top r is
     not finite or exceeds sigma_r falls back to the exact path, alone, so
     each plane of a stack gets the factors it would get alone.
     """
     if basis is None:
-        f = svd(current, rank=r + OVERSAMPLE)
+        f = svd(current, rank=q)
         return f.top(r), f.V
-    f = svd(current, rank=basis.shape[-1], start=basis)
+    f = svd(current, rank=q, start=basis)
     top = f.top(r)
     bad = ~residual_ok(current, top)
     if bad.any():
-        exact = svd(current[bad], rank=basis.shape[-1])
+        exact = svd(current[bad], rank=q)
         f.U[bad], f.sigma[bad], f.V[bad] = exact.U, exact.sigma, exact.V
     return f.top(r), f.V
 
@@ -338,9 +319,9 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     if m_bits.shape != (m, n):
         raise ValueError(f"mask shape {m_bits.shape} != image shape {(m, n)}")
     r = cfg.resolve_rank(m, n)
-    # where one block power step on r + OVERSAMPLE vectors starts to cost
-    # less than the exact Gram path; see the module docstring
-    warm = 2 * (r + OVERSAMPLE) <= min(m, n)
+    # None where one block power step costs no less than the exact Gram
+    # path; see the module docstring
+    q = warm_rank(r, m, n)
     anchor = m_bits == 1.0
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 
@@ -374,8 +355,8 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
         dd = (delta * delta)[:, None, None]
         block_planes = list(zip(live.tolist(), delta.tolist()))
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
-            if warm:
-                f, basis = _top_r(current, r, basis)
+            if q is not None:
+                f, basis = _top_r(current, r, q, basis)
             else:
                 f = svd(current, rank=r)
             x_next = _step(f, fixed, anchor, delta, dd, cfg, tv_grad)

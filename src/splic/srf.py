@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SvdFactors, svd
+from .linalg import SvdFactors
 
 
 def _check_delta(delta) -> np.ndarray:
@@ -48,11 +48,6 @@ def srf_value_from_sigma(sigma, delta):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = s.shape[-1] - np.exp(_exponent(s, d)).sum(axis=-1)
     return float(value) if value.ndim == 0 else value
-
-
-def srf_value(x, delta: float) -> float:
-    """Smoothed rank of a matrix; lies in [0, min(m, n)]."""
-    return srf_value_from_sigma(svd(x).sigma, delta)
 
 
 def srf_gradient(f: SvdFactors, delta: float) -> np.ndarray:

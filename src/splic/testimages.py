@@ -11,6 +11,8 @@ reproducible across the corpus.  Everything is a pure function of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # relative sizes of the scene's singular values after the dominant one;
@@ -37,7 +39,7 @@ def _shape_pair(shape) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def make_test_image(index: int, shape=32, ratios=SPECTRUM_RATIOS) -> np.ndarray:
+def make_test_image(index: int, shape=32) -> np.ndarray:
     """Scene number `index`; `shape` is a side length or an (m, n) pair."""
     m, n = _shape_pair(shape)
     if m < 2 or n < 2:
@@ -74,17 +76,12 @@ def make_test_image(index: int, shape=32, ratios=SPECTRUM_RATIOS) -> np.ndarray:
         u, sig, vt = np.linalg.svd(scene, full_matrices=False)
         remapped = np.zeros_like(sig)
         remapped[0] = sig[0]
-        for k, r in enumerate(ratios):
+        for k, r in enumerate(SPECTRUM_RATIOS):
             remapped[k + 1] = sig[0] * r
         scene = (u * remapped) @ vt
         lo, hi = scene.min(), scene.max()
         scene = 0.06 + 0.88 * (scene - lo) / (hi - lo)
     return scene
-
-
-def test_corpus(count: int, shape=32) -> list[np.ndarray]:
-    """The first `count` scenes at the given shape."""
-    return [make_test_image(i, shape) for i in range(count)]
 
 
 def balanced_low_rank(m: int, n: int, rank: int, seed: int = 0) -> np.ndarray:
@@ -111,8 +108,11 @@ def balanced_low_rank(m: int, n: int, rank: int, seed: int = 0) -> np.ndarray:
 
 def add_uniform_noise(x, amplitude: float, seed: int) -> np.ndarray:
     """Add uniform noise in [-amplitude, amplitude] and clip back to [0, 1]."""
-    if amplitude < 0:
+    if not amplitude >= 0:
         raise ValueError(f"amplitude must be non-negative, got {amplitude}")
+    # the sampler draws from a range of width 2 * amplitude
+    if not math.isfinite(2.0 * float(amplitude)):
+        raise ValueError(f"amplitude must be at most max float / 2, got {amplitude}")
     arr = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     noisy = arr + rng.uniform(-amplitude, amplitude, size=arr.shape)

@@ -13,7 +13,7 @@ from splic.baselines import (
     usvt,
 )
 from splic.linalg import numerical_rank, svd
-from splic.metrics import nuclear_norm, psnr
+from splic.metrics import psnr
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig, relative_change, splic_complete
 from splic.testimages import add_uniform_noise, make_test_image
@@ -45,7 +45,7 @@ def test_soft_threshold_never_increases_nuclear_norm(rng):
         x = rng.uniform(-1, 1, size=(6, 5))
         tau = float(rng.uniform(0.0, 2.0))
         shrunk = soft_threshold_singular(svd(x), tau)
-        assert nuclear_norm(shrunk) <= nuclear_norm(x) + 1e-10
+        assert svd(shrunk).sigma.sum() <= svd(x).sigma.sum() + 1e-10
         assert np.all(svd(shrunk).sigma <= svd(x).sigma + 1e-10)
 
 
@@ -89,7 +89,7 @@ def test_soft_impute_objective_monotone_after_burn_in():
         for _ in range(60):
             z = soft_threshold_singular(svd(np.where(observed, truth, z)), tau)
             data_term = 0.5 * float(np.sum((truth - z)[observed] ** 2))
-            objectives.append(data_term + tau * nuclear_norm(z))
+            objectives.append(data_term + tau * svd(z).sigma.sum())
         assert all(
             objectives[i + 1] <= objectives[i] + 1e-9
             for i in range(len(objectives) - 1)
@@ -173,7 +173,7 @@ def test_soft_impute_goes_warm_after_an_exact_first_iteration(monkeypatch):
 
 def test_soft_impute_never_goes_warm_where_the_block_is_too_wide(monkeypatch):
     # at tau = 0.01 sigma_1 every SVT of this 40 x 90 image keeps more
-    # than 8 triplets, so 2 (kept + OVERSAMPLE) > 40 throughout
+    # than 8 triplets, so warm_rank(kept, 40, 90) is None throughout
     x = add_uniform_noise(make_test_image(0, (40, 90)), 0.05, 0)
     mask = generate_mask(40, 90, 0.3, 0)
     tau = 0.2 * _default_tau(x, mask)

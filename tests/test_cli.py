@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from splic.cli import _build_config, _cfg_hash, _plan_groups, build_parser, main
-from splic.image_io import read_image, write_image, write_mask, write_trace_csv
+from splic.image_io import read_image, write_image, write_trace_csv
 from splic.linalg import numerical_rank
 from splic.metrics import psnr
 from splic.sampling import generate_mask
@@ -79,10 +79,31 @@ def test_unstable_tv_step_exits_2(tmp_path, scene_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete", "--lambda", "nan"],
+        ["complete", "--add-uniform-noise", "nan"],
+        ["complete", "--add-uniform-noise", "inf"],
+        ["defend", "--add-uniform-noise", "1e308"],
+        ["compare", "--tau", "nan"],
+        ["compare", "--eta", "nan"],
+    ],
+)
+def test_nan_or_overflowing_parameter_exits_2(tmp_path, scene_file, argv):
+    # each ran to exit 0, stopped mid-solve with a misleading message, or
+    # raised OverflowError (exit 1)
+    out = tmp_path / "o.out"
+    code, err = run_cli(*argv, "--input", scene_file, "--output", out)
+    assert code == 2
+    assert err.startswith("error: ") and "non-finite" not in err
+    assert not out.exists()
+
+
 def test_explicit_mask_file(tmp_path, scene_file):
     mask = generate_mask(32, 32, 0.5, 3)
     mask_path = tmp_path / "m.pgm"
-    write_mask(mask, mask_path)
+    write_image(mask, mask_path)
     out = tmp_path / "o.pgm"
     code, _ = run_cli(
         "complete", "--input", scene_file, "--mask", mask_path, "--output", out

@@ -22,7 +22,6 @@ from splic.image_io import (
     read_mask,
     trace_csv_lines,
     write_image,
-    write_mask,
     write_trace_csv,
 )
 from splic.sampling import generate_mask
@@ -108,6 +107,15 @@ def test_out_of_range_rejected_without_clamp():
         encode_image(np.array([[0.0, 1.2], [0.5, 0.25]]))
     clamped = decode_image(encode_image(np.array([[0.0, 1.2], [0.5, 0.25]]), clamp=True))
     assert clamped[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("fmt", ["P5", "P2"])
+def test_clamp_rejects_nan_but_clips_infinities(fmt):
+    # clamping let NaN through: P5 wrote it as 0, P2 as -9223372036854775808
+    with pytest.raises(ValueError, match="NaN"):
+        encode_image(np.array([[0.5, np.nan], [0.0, 1.0]]), fmt=fmt, clamp=True)
+    clipped = encode_image(np.array([[0.5, np.inf], [-np.inf, 1.0]]), fmt=fmt, clamp=True)
+    assert np.array_equal(decode_image(clipped), [[128 / 255, 1.0], [0.0, 1.0]])
 
 
 def test_roundtrip_files(tmp_path, rng):
@@ -257,7 +265,7 @@ def test_read_header_errors_match_decode_image(tmp_path, data):
 def test_mask_roundtrip(tmp_path):
     mask = generate_mask(6, 7, 0.5, 3)
     path = tmp_path / "mask.pgm"
-    write_mask(mask, path)
+    write_image(mask, path)
     assert np.array_equal(read_mask(path), mask)
     raw = path.read_bytes()
     assert set(raw[raw.index(b"255\n") + 4 :]) <= {0, 255}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_qr_svd
-from splic.linalg import as_matrix, numerical_rank, reconstruct, svd, truncate_rank
+from splic.linalg import as_matrix, numerical_rank, reconstruct, svd
 
 matrices = st.integers(2, 8).flatmap(
     lambda m: st.integers(2, 8).flatmap(
@@ -145,32 +145,25 @@ def test_rank_svd_deterministic_with_sign_convention(rng):
 
 def test_truncate_full_rank_is_identity():
     x = np.diag([5.0, 2.0, 1.0])
-    assert np.allclose(truncate_rank(svd(x), 3), x)
+    assert np.allclose(reconstruct(svd(x).top(3)), x)
 
 
 def test_truncate_to_rank_one():
     x = np.diag([5.0, 2.0, 1.0])
-    assert np.allclose(truncate_rank(svd(x), 1), np.diag([5.0, 0.0, 0.0]))
+    assert np.allclose(reconstruct(svd(x).top(1)), np.diag([5.0, 0.0, 0.0]))
 
 
 def test_truncate_no_op_at_l(rng):
     x = rng.uniform(size=(6, 4))
-    err = np.linalg.norm(truncate_rank(svd(x), 4) - x, "fro")
+    err = np.linalg.norm(reconstruct(svd(x).top(4)) - x, "fro")
     assert err < 1e-10 * np.linalg.norm(x, "fro")
-
-
-def test_truncate_rejects_out_of_range(rng):
-    f = svd(rng.uniform(size=(4, 4)))
-    for r in (0, 5, -1):
-        with pytest.raises(ValueError):
-            truncate_rank(f, r)
 
 
 def test_truncate_caps_numerical_rank(rng):
     for _ in range(5):
         x = rng.uniform(size=(7, 6))
         for r in (1, 2, 4):
-            assert numerical_rank(truncate_rank(svd(x), r), 1e-8) <= r
+            assert numerical_rank(reconstruct(svd(x).top(r)), 1e-8) <= r
 
 
 def test_eckart_young_against_grid_search(rng):
@@ -190,7 +183,7 @@ def test_eckart_young_against_grid_search(rng):
         x = rng.uniform(-1, 1, size=(3, 3))
         total = np.linalg.norm(x, "fro") ** 2
         grid_err = np.min(total - np.linalg.norm(us @ x, axis=1) ** 2)
-        svd_err = np.linalg.norm(truncate_rank(svd(x), 1) - x, "fro") ** 2
+        svd_err = np.linalg.norm(reconstruct(svd(x).top(1)) - x, "fro") ** 2
         assert svd_err <= grid_err + 1e-9
         assert grid_err - svd_err <= 1e-3 * total  # grid resolves the optimum
 

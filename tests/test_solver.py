@@ -6,43 +6,19 @@ import pytest
 
 import splic.solver as solver_module
 from conftest import exact_svd, two_qr_svd
+from splic.baselines import soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import (
     SplicConfig,
-    project,
     relative_change,
     splic_alternated,
     splic_complete,
 )
-from splic.srf import srf_gradient, srf_value, srf_value_from_sigma
+from splic.srf import srf_gradient, srf_value_from_sigma
 from splic.testimages import add_uniform_noise, balanced_low_rank, make_test_image
 from splic.tv import tv_gradient, tv_gradient_forward, tv_value
-
-
-def test_project_all_ones_returns_anchor_values(rng):
-    x = rng.uniform(size=(4, 4))
-    xt = rng.uniform(size=(4, 4))
-    assert np.array_equal(project(xt, x, np.ones((4, 4))), x)
-
-
-def test_project_all_zeros_returns_estimate(rng):
-    x = rng.uniform(size=(4, 4))
-    xt = rng.uniform(size=(4, 4))
-    assert np.array_equal(project(xt, x, np.zeros((4, 4))), xt)
-
-
-def test_project_entrywise_rule():
-    x = np.ones((2, 2))
-    xt = np.zeros((2, 2))
-    mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(project(xt, x, mask), np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-
-def test_project_shape_mismatch():
-    with pytest.raises(ValueError):
-        project(np.zeros((2, 2)), np.zeros((2, 3)), np.ones((2, 2)))
 
 
 def test_relative_change_identical():
@@ -122,6 +98,28 @@ def test_tv_step_bound_mu_times_lambda():
         SplicConfig(lam=0.6)
     with pytest.raises(ValueError, match="0.25"):
         SplicConfig(lam=0.02, mu=13.0, tv_mode="paper")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SplicConfig(lam=np.nan),
+        lambda: soft_threshold_singular(svd(np.eye(3)), np.nan),
+        lambda: usvt(np.eye(3), np.ones((3, 3)), np.nan),
+        lambda: numerical_rank(np.eye(3), np.nan),
+        lambda: psnr(np.zeros((2, 2)), np.ones((2, 2)), peak=np.nan),
+        lambda: add_uniform_noise(np.zeros((2, 2)), np.nan, 0),
+        lambda: add_uniform_noise(np.zeros((2, 2)), np.inf, 0),
+        lambda: add_uniform_noise(np.zeros((2, 2)), 1e308, 0),
+    ],
+    ids=["lambda", "tau", "eta", "tol", "peak", "amp-nan", "amp-inf", "amp-1e308"],
+)
+def test_nan_and_overflowing_parameters_are_rejected(call):
+    # each passed an `x < 0`-style guard: a NaN lambda failed mid-solve,
+    # NaN tau/eta gave empty completions, a NaN tol gave rank 0, a NaN
+    # peak gave a NaN PSNR, and the amplitudes raised OverflowError
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_default_rank_is_quarter_of_min_side():
@@ -410,11 +408,11 @@ def test_gradient_step_is_descent_direction():
                 cur = np.where(anchors, x, trunc - 0.5 * step)
             delta *= 0.45
         z = cur.copy()
-        objs = [srf_value(z, delta) + lam * tv_value(z)]
+        objs = [srf_value_from_sigma(svd(z).sigma, delta) + lam * tv_value(z)]
         for _ in range(7):
             g = delta * delta * srf_gradient(svd(z), delta) + lam * tv_gradient(z)
             z = z - mu * g
-            objs.append(srf_value(z, delta) + lam * tv_value(z))
+            objs.append(srf_value_from_sigma(svd(z).sigma, delta) + lam * tv_value(z))
         good += all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
     assert good >= 0.95 * trials
 

@@ -5,22 +5,23 @@ import pytest
 
 from conftest import finite_difference_gradient, random_orthogonal
 from splic.linalg import SvdFactors, svd
-from splic.srf import srf_gradient, srf_value, srf_value_from_sigma
+from splic.srf import srf_gradient, srf_value_from_sigma
 
 
 def test_zero_matrix_has_zero_value():
-    assert srf_value(np.zeros((3, 3)), 1.0) == 0.0
+    assert srf_value_from_sigma(svd(np.zeros((3, 3))).sigma, 1.0) == 0.0
 
 
 def test_value_direct_evaluation():
     # sigma = (3, 0), delta = 3: 1 - exp(-1/2)
-    v = srf_value(np.diag([3.0, 0.0]), 3.0)
+    v = srf_value_from_sigma(svd(np.diag([3.0, 0.0])).sigma, 3.0)
     assert v == pytest.approx(1.0 - np.exp(-0.5), abs=1e-12)
     assert v == pytest.approx(0.393469, abs=1e-6)
 
 
 def test_value_small_delta_counts_rank():
-    assert srf_value(np.diag([5.0, 2.0, 0.0]), 1e-3) == pytest.approx(2.0, abs=1e-6)
+    sigma = svd(np.diag([5.0, 2.0, 0.0])).sigma
+    assert srf_value_from_sigma(sigma, 1e-3) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_value_bounds(rng):
@@ -28,25 +29,26 @@ def test_value_bounds(rng):
         m, n = rng.integers(2, 9, size=2)
         x = rng.uniform(-1, 1, size=(m, n))
         delta = float(rng.uniform(0.05, 5.0))
-        v = srf_value(x, delta)
+        v = srf_value_from_sigma(svd(x).sigma, delta)
         assert 0.0 <= v <= min(m, n)
 
 
 def test_orthogonal_invariance(rng):
     x = rng.uniform(size=(6, 5))
-    base = srf_value(x, 1.3)
+    base = srf_value_from_sigma(svd(x).sigma, 1.3)
     for _ in range(5):
         q = random_orthogonal(6, rng)
         r = random_orthogonal(5, rng)
-        assert srf_value(q @ x @ r, 1.3) == pytest.approx(base, abs=1e-9)
+        rotated = svd(q @ x @ r).sigma
+        assert srf_value_from_sigma(rotated, 1.3) == pytest.approx(base, abs=1e-9)
 
 
 def test_monotone_limits(rng):
     k0 = 3
     x = rng.standard_normal((8, k0)) @ rng.standard_normal((k0, 8))
     sigma = svd(x).sigma
-    assert srf_value(x, 1e-4 * sigma[k0 - 1]) == pytest.approx(k0, abs=1e-3)
-    assert srf_value(x, 1e6 * sigma[0]) == pytest.approx(0.0, abs=1e-9)
+    assert srf_value_from_sigma(sigma, 1e-4 * sigma[k0 - 1]) == pytest.approx(k0, abs=1e-3)
+    assert srf_value_from_sigma(sigma, 1e6 * sigma[0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gradient_zero_matrix():
@@ -66,7 +68,9 @@ def test_gradient_matches_finite_differences(rng):
     x = rng.uniform(size=(6, 6))
     delta = float(np.linalg.norm(x, 2))
     g = srf_gradient(svd(x), delta)
-    fd = finite_difference_gradient(lambda z: srf_value(z, delta), x)
+    fd = finite_difference_gradient(
+        lambda z: srf_value_from_sigma(svd(z).sigma, delta), x
+    )
     assert np.abs(g - fd).max() < 1e-6
 
 
@@ -77,7 +81,9 @@ def test_gradient_finite_difference_relative_error(rng):
         for mult in (0.5, 1.0, 2.0):
             delta = mult * top
             g = srf_gradient(svd(x), delta)
-            fd = finite_difference_gradient(lambda z: srf_value(z, delta), x)
+            fd = finite_difference_gradient(
+                lambda z: srf_value_from_sigma(svd(z).sigma, delta), x
+            )
             rel = np.abs(g - fd).max() / np.abs(fd).max()
             assert rel < 1e-5
 
@@ -93,7 +99,7 @@ def test_rejects_bad_delta():
     x = np.eye(3)
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
-            srf_value(x, bad)
+            srf_value_from_sigma(svd(x).sigma, bad)
 
 
 def test_srf_on_a_stack_uses_each_matrix_delta(rng):

@@ -25,7 +25,7 @@ import splic.baselines as baselines_module
 import splic.solver as solver_module
 from conftest import exact_svd
 from splic.baselines import soft_impute_with_count
-from splic.linalg import OVERSAMPLE
+from splic.linalg import warm_rank
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import SplicConfig, relative_change, splic_complete
@@ -93,7 +93,7 @@ def _gate_case(x, clean, cfg, passes):
 def _cases(sizes):
     for side in sizes:
         # every size is above the crossover, or the two runs would be one
-        assert 2 * (SplicConfig().resolve_rank(side, side) + OVERSAMPLE) <= side
+        assert warm_rank(SplicConfig().resolve_rank(side, side), side, side) is not None
         for scene in SCENES:
             clean = make_test_image(scene, side)
             for noise in NOISE:
