@@ -32,7 +32,7 @@ def main():
         mask = generate_mask(args.size, args.size, args.anchor_fraction, args.seed + i)
         res = splic_complete(scene, mask, cfg)
         write_trace_csv(res.trace, out / f"scene{i:02d}_trace.csv")
-        rels = res.trace.rel_changes
+        rels = res.trace.rel_change
         maxima = rels.reshape(-1, cfg.inner_steps).max(axis=1)
         print(
             f"scene {i}: iterations={res.iterations} converged={res.converged} "

@@ -27,7 +27,6 @@ from .solver import (
     CompletionResult,
     ConvergenceTrace,
     SplicConfig,
-    TraceRecord,
     relative_change,
     splic_alternated,
     splic_complete,
@@ -47,7 +46,6 @@ __all__ = [
     "PnmTruncatedError",
     "SplicConfig",
     "SvdFactors",
-    "TraceRecord",
     "add_uniform_noise",
     "as_matrix",
     "balanced_low_rank",

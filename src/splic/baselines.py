@@ -12,10 +12,15 @@ from .sampling import validate_mask
 from .solver import CompletionResult, SplicConfig, relative_change, splic_complete
 
 
+def check_nonnegative(name: str, value: float):
+    """Raise ValueError unless `value` is >= 0 (NaN is not)."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def soft_threshold_singular(f: SvdFactors, tau: float) -> np.ndarray:
     """Shrink every singular value by tau (clamped at zero) and rebuild."""
-    if not tau >= 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    check_nonnegative("tau", tau)
     return reconstruct(f, np.maximum(f.sigma - tau, 0.0))
 
 
@@ -90,8 +95,7 @@ def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
     keeps only singular values above (1 + eta) * sqrt(n * p_hat), and
     clips the rebuilt matrix to [0, 1].
     """
-    if not eta >= 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
+    check_nonnegative("eta", eta)
     arr = as_matrix(x)
     m_bits = validate_mask(mask)
     if m_bits.shape != arr.shape:
@@ -107,6 +111,6 @@ def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
     return np.clip(reconstruct(f, kept), 0.0, 1.0)
 
 
-def srf_only(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionResult:
+def srf_only(x, mask, cfg: SplicConfig) -> CompletionResult:
     """The main solver with the TV weight forced to zero (rank term only)."""
-    return splic_complete(x, mask, replace(cfg, lam=0.0), on_iteration=on_iteration)
+    return splic_complete(x, mask, replace(cfg, lam=0.0))

@@ -32,15 +32,8 @@ from .image_io import (
 from .linalg import numerical_rank
 from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, comparison_rows, psnr
 from .sampling import generate_mask
-from .solver import (
-    FIELD_TYPES,
-    ConvergenceTrace,
-    SplicConfig,
-    config_key,
-    splic_alternated,
-    splic_complete,
-)
-from .testimages import add_uniform_noise
+from .solver import FIELD_TYPES, SplicConfig, config_key, splic_alternated, splic_complete
+from .testimages import add_uniform_noise, check_amplitude
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -92,6 +85,10 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
 
 
 def _build_config(args) -> SplicConfig:
+    """The run's config; every command calls this first, so it also checks
+    --add-uniform-noise, once for a whole batch."""
+    if args.add_uniform_noise is not None:
+        check_amplitude(args.add_uniform_noise)
     cfg = read_config_json(args.config) if args.config else SplicConfig()
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SplicConfig)}
     return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
@@ -127,20 +124,22 @@ def _read_input(args, cfg) -> np.ndarray:
     return _read_image(p, args, cfg)
 
 
+def _read_reference(path, image) -> np.ndarray:
+    """The clean image at `path`, checked to be single-channel and of
+    `image`'s shape before any solve."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"reference file not found: {path}")
+    clean = read_image(path)
+    if clean.ndim != 2 or clean.shape != image.shape:
+        raise ValueError("reference must be a single-channel image of the same shape")
+    return clean
+
+
 def _write_output(image, path, cfg):
     comment = f"splic seed={cfg.seed} cfg-hash={_cfg_hash(cfg)}"
     data = encode_image(image, comments=[comment], clamp=True)
     _atomic_write(Path(path), data)
-
-
-def _write_traces(trace, path):
-    """One CSV for a plane's trace; `<stem>.c<i><suffix>` per plane of a stack."""
-    path = Path(path)
-    if isinstance(trace, ConvergenceTrace):
-        write_trace_csv(trace, path)
-        return
-    for i, plane_trace in enumerate(trace):
-        write_trace_csv(plane_trace, path.with_suffix(f".c{i}{path.suffix}"))
 
 
 def _exit_code(args, converged: bool) -> int:
@@ -148,6 +147,21 @@ def _exit_code(args, converged: bool) -> int:
         print("did not converge within maxiter", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
+
+
+def _finish(args, image, res, cfg) -> int:
+    """Write the completion of `image` and, with --trace, one trace CSV for
+    an (m, n) image or `<stem>.c<i><suffix>` per plane of a colour one;
+    the exit code."""
+    _write_output(res.completed, args.output, cfg)
+    if args.trace:
+        path = Path(args.trace)
+        if image.ndim == 2:
+            write_trace_csv(res.trace, path)
+        else:
+            for i in range(len(image)):
+                write_trace_csv(res.trace.for_plane(i), path.with_suffix(f".c{i}{path.suffix}"))
+    return _exit_code(args, res.converged)
 
 
 def cmd_complete(args) -> int:
@@ -158,11 +172,7 @@ def cmd_complete(args) -> int:
         mask = read_mask(args.mask)
     else:
         mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
-    res = splic_complete(image, mask, cfg)
-    _write_output(res.completed, args.output, cfg)
-    if args.trace:
-        _write_traces(res.trace, args.trace)
-    return _exit_code(args, res.converged)
+    return _finish(args, image, splic_complete(image, mask, cfg), cfg)
 
 
 def _defend_one(image, cfg):
@@ -176,11 +186,8 @@ def cmd_defend(args) -> int:
     cfg = _build_config(args)
     if args.batch:
         return _defend_batch(args, cfg)
-    res = _defend_one(_read_input(args, cfg), cfg)
-    _write_output(res.completed, args.output, cfg)
-    if args.trace:
-        _write_traces(res.trace, args.trace)
-    return _exit_code(args, res.converged)
+    image = _read_input(args, cfg)
+    return _finish(args, image, _defend_one(image, cfg), cfg)
 
 
 def _plan_groups(files) -> list[list[Path]]:
@@ -305,12 +312,7 @@ def cmd_compare(args) -> int:
     corrupt = _read_input(args, cfg)
     if corrupt.ndim != 2:
         raise ValueError("compare works on single-channel images")
-    ref_path = Path(args.reference) if args.reference else Path(args.input)
-    if not ref_path.is_file():
-        raise ValueError(f"reference file not found: {ref_path}")
-    clean = read_image(ref_path)
-    if clean.ndim != 2 or clean.shape != corrupt.shape:
-        raise ValueError("reference must be a single-channel image of the same shape")
+    clean = _read_reference(args.reference or args.input, corrupt)
     fractions = _parse_fractions(args.fraction_sweep)
     m, n = corrupt.shape
     lines = ["fraction," + COMPARISON_CSV_HEADER]
@@ -337,7 +339,7 @@ def cmd_rank_sweep(args) -> int:
         raise ValueError(f"bad rank list {args.ranks!r}") from exc
     if not ranks or any(r < 1 or r > min(m, n) for r in ranks):
         raise ValueError(f"ranks must lie in [1, {min(m, n)}]: {args.ranks!r}")
-    reference = read_image(args.reference) if args.reference else image
+    reference = _read_reference(args.reference, image) if args.reference else image
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -256,12 +256,10 @@ def read_mask(path) -> np.ndarray:
 
 
 def trace_csv_lines(trace: ConvergenceTrace) -> list[str]:
-    lines = [TRACE_CSV_HEADER]
-    for rec in trace:
-        lines.append(
-            f"{rec.t},{rec.delta!r},{rec.rel_change!r},{rec.srf!r},{rec.tv!r}"
-        )
-    return lines
+    # values from .tolist() print as Python numbers, not numpy scalars
+    columns = (trace.t, trace.delta, trace.rel_change, trace.srf, trace.tv)
+    rows = zip(*(column.tolist() for column in columns))
+    return [TRACE_CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
 
 
 def write_trace_csv(trace: ConvergenceTrace, path):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import soft_impute_with_count, srf_only, usvt
+from .baselines import check_nonnegative, soft_impute_with_count, srf_only, usvt
 from .linalg import numerical_rank
 from .solver import SplicConfig, splic_complete
 
@@ -57,7 +57,8 @@ def compare_methods(
 ) -> list[MethodResult]:
     """Run all four completers on (x_corrupt, mask) and score against x_clean.
 
-    tau defaults to 0.05 times the top singular value of the masked input.
+    tau defaults to 0.05 times the top singular value of the masked input;
+    tau and eta are checked before the first method runs.
     Ranks of the two solver-based methods are measured on their rank-
     reduced surface; baseline ranks are measured on the returned matrix.
     """
@@ -65,6 +66,8 @@ def compare_methods(
     if tau is None:
         masked = np.where(np.asarray(mask) == 1.0, np.asarray(x_corrupt), 0.0)
         tau = 0.05 * float(np.linalg.norm(masked, 2))
+    check_nonnegative("tau", tau)
+    check_nonnegative("eta", eta)
 
     def solved(res):
         return res.completed, res.low_rank, res.iterations

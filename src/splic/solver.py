@@ -44,10 +44,10 @@ Both take an (m, n) image or a (k, m, n) stack of planes (the channels of
 a colour image) that share the mask, and step the whole stack in one
 loop, so the fixed cost of each numpy call is paid once per iteration
 rather than once per plane.  Each plane keeps its own delta and its own
-trace, and follows bit for bit the trajectory it would follow alone:
-after every block, a plane whose block change is <= epsilon, or that has
-used the budget, retires -- it is frozen and leaves the stack the loop
-steps.
+rows of the one trace (its `plane` column names them), and follows bit
+for bit the trajectory it would follow alone: after every block, a plane
+whose block change is <= epsilon, or that has used the budget, retires
+-- it is frozen and leaves the stack the loop steps.
 """
 
 from __future__ import annotations
@@ -160,38 +160,41 @@ FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One solver iteration: smoothed rank measured on the truncated
-    iterate at the block's delta, roughness on the projected iterate."""
-
-    t: int
-    delta: float
-    rel_change: float
-    srf: float
-    tv: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
-    records: tuple[TraceRecord, ...]
+    """One solve's per-iteration trace, as six equal-length columns.
+
+    Each row is one plane at one step: its index in the input stack
+    (`plane`, 0 for an (m, n) image), its iteration `t`, the block's
+    `delta`, `rel_change` between its projected iterates, the smoothed
+    rank `srf` of its truncated iterate at that delta and the roughness
+    `tv` of its projected iterate.  Rows go in step order, and within a
+    step the live planes go in index order.
+    """
+
+    plane: np.ndarray
+    t: np.ndarray
+    delta: np.ndarray
+    rel_change: np.ndarray
+    srf: np.ndarray
+    tv: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return len(self.t)
 
-    def __iter__(self):
-        return iter(self.records)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns, in the order above."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
-    def __getitem__(self, i):
-        return self.records[i]
+    def for_plane(self, j: int) -> ConvergenceTrace:
+        """The rows of plane `j`."""
+        rows = self.plane == j
+        return ConvergenceTrace(*(column[rows] for column in self.columns()))
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([rec.delta for rec in self.records])
 
-    @property
-    def rel_changes(self) -> np.ndarray:
-        return np.array([rec.rel_change for rec in self.records])
+def _concat(parts) -> ConvergenceTrace:
+    """A trace of the rows of `parts`, tuples of columns, in order."""
+    return ConvergenceTrace(*map(np.concatenate, zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -202,15 +205,17 @@ class CompletionResult:
                exactly, re-estimated pixels optionally clipped to [0, 1]
     low_rank   rank-r reduction of the final iterate (never clipped);
                this is the surface whose numerical rank is capped at r
+    trace      every plane's iterations, one row each; its `plane`
+               column tells the planes of a stack apart
+    iterations the trace's length: for a stack, the total over planes
+    converged  whether every plane converged
 
-    For a (k, m, n) stack input both surfaces are (k, m, n), `trace` is a
-    tuple of k per-plane traces, `iterations` sums the planes' counts and
-    `converged` holds only if every plane converged.
+    For a (k, m, n) stack input both surfaces are (k, m, n).
     """
 
     completed: np.ndarray
     low_rank: np.ndarray
-    trace: ConvergenceTrace | tuple[ConvergenceTrace, ...]
+    trace: ConvergenceTrace
     iterations: int
     converged: bool
 
@@ -302,9 +307,10 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
 
     `x` is an (m, n) image or a (k, m, n) stack of planes that share the
     mask; the module docstring says how the planes of a stack retire.
-    For a stack, `completed` and `low_rank` are (k, m, n), `trace` is a
-    tuple of one ConvergenceTrace per plane, `iterations` is the total
-    over planes and `converged` means every plane converged.
+    For a stack, `completed` and `low_rank` are (k, m, n).  Either way
+    `trace` is one table of every plane's rows, told apart by its `plane`
+    column, `iterations` is its length and `converged` means every plane
+    converged.
 
     A plane whose anchor-masked spectral norm is 0, or whose square
     overflows, is rejected with a ValueError before the first step.
@@ -346,14 +352,13 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     final = np.empty_like(planes)
     fixed = planes
     live = np.arange(k)
-    records = [[] for _ in range(k)]
+    steps = []  # per step, a tuple of the trace's columns for the live planes
     converged = np.zeros(k, dtype=bool)
     basis = None
     t = 0
     while live.size:
         block_start = current
         dd = (delta * delta)[:, None, None]
-        block_planes = list(zip(live.tolist(), delta.tolist()))
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
             if q is not None:
                 f, basis = _top_r(current, r, q, basis)
@@ -361,14 +366,9 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
                 f = svd(current, rank=r)
             x_next = _step(f, fixed, anchor, delta, dd, cfg, tv_grad)
             t += 1
-            columns = zip(
-                block_planes,
-                relative_change(x_next, current).tolist(),
-                srf_value_from_sigma(f.sigma, delta).tolist(),
-                tv_value(x_next).tolist(),
-            )
-            for (p, d), rel, srf, tv in columns:
-                records[p].append(TraceRecord(t=t, delta=d, rel_change=rel, srf=srf, tv=tv))
+            rel = relative_change(x_next, current)
+            srf = srf_value_from_sigma(f.sigma, delta)
+            steps.append((live, np.full(live.size, t), delta, rel, srf, tv_value(x_next)))
             current = x_next
             if on_iteration is not None:
                 frame = final.copy()
@@ -394,20 +394,14 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     if cfg.clamp_output:
         completed = np.where(anchor, planes, np.clip(final, 0.0, 1.0))
 
-    traces = tuple(ConvergenceTrace(tuple(recs)) for recs in records)
     if not stacked:
-        return CompletionResult(
-            completed=completed[0],
-            low_rank=low_rank[0],
-            trace=traces[0],
-            iterations=len(traces[0]),
-            converged=bool(converged[0]),
-        )
+        completed, low_rank = completed[0], low_rank[0]
+    trace = _concat(steps)
     return CompletionResult(
         completed=completed,
         low_rank=low_rank,
-        trace=traces,
-        iterations=sum(len(trace) for trace in traces),
+        trace=trace,
+        iterations=len(trace),
         converged=bool(converged.all()),
     )
 
@@ -418,7 +412,8 @@ def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult
     Pass 1 completes the targets of a fresh random mask; pass 2 swaps the
     mask, anchoring the pass-1 estimates and re-estimating the original
     anchors.  Each pass restarts the delta schedule from its own input;
-    the traces are concatenated (the restart is visible as a delta jump).
+    the traces are concatenated, the first pass's rows before the
+    second's (the restart is visible, per plane, as a delta jump).
     A (k, m, n) stack shares the mask across its planes and gives results
     shaped as `splic_complete` gives them for a stack.
     """
@@ -431,17 +426,10 @@ def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult
     second = splic_complete(
         first.completed, complement(mask), cfg, on_iteration=on_iteration
     )
-    if arr.ndim == 2:
-        trace = ConvergenceTrace(first.trace.records + second.trace.records)
-    else:
-        trace = tuple(
-            ConvergenceTrace(a.records + b.records)
-            for a, b in zip(first.trace, second.trace)
-        )
     return CompletionResult(
         completed=second.completed,
         low_rank=second.low_rank,
-        trace=trace,
+        trace=_concat([first.trace.columns(), second.trace.columns()]),
         iterations=first.iterations + second.iterations,
         converged=first.converged and second.converged,
     )

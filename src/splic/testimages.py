@@ -106,13 +106,18 @@ def balanced_low_rank(m: int, n: int, rank: int, seed: int = 0) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def add_uniform_noise(x, amplitude: float, seed: int) -> np.ndarray:
-    """Add uniform noise in [-amplitude, amplitude] and clip back to [0, 1]."""
+def check_amplitude(amplitude: float):
+    """Raise ValueError unless `add_uniform_noise` can draw at `amplitude`."""
     if not amplitude >= 0:
         raise ValueError(f"amplitude must be non-negative, got {amplitude}")
     # the sampler draws from a range of width 2 * amplitude
     if not math.isfinite(2.0 * float(amplitude)):
         raise ValueError(f"amplitude must be at most max float / 2, got {amplitude}")
+
+
+def add_uniform_noise(x, amplitude: float, seed: int) -> np.ndarray:
+    """Add uniform noise in [-amplitude, amplitude] and clip back to [0, 1]."""
+    check_amplitude(amplitude)
     arr = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     noisy = arr + rng.uniform(-amplitude, amplitude, size=arr.shape)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ def finite_difference_gradient(fn, x, step=1e-5):
 def random_orthogonal(n, rng):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def assert_traces_equal(a, b):
+    """Every column of two ConvergenceTraces is equal, element for element."""
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 @pytest.fixture

@@ -82,7 +82,7 @@ def test_criterion_3_convergence_trace():
         x = make_test_image(i, 32)
         mask = generate_mask(32, 32, 0.5, 7 + i)
         res = splic_complete(x, mask, cfg)
-        rels = res.trace.rel_changes
+        rels = res.trace.rel_change
         reached &= bool(np.any(rels < 1e-4)) and res.iterations <= 210
         maxima = rels.reshape(-1, cfg.inner_steps).max(axis=1)
         monotone &= all(
@@ -189,7 +189,7 @@ def test_criterion_7_projection_identities():
             np.array_equal(xh[anchors], scene[anchors])
         ),
     )
-    deltas = res.trace.deltas
+    deltas = res.trace.delta
     blocked = len(res.trace) % 7 == 0
     blocks = deltas.reshape(-1, 7)
     geometric = all(np.all(b == b[0]) for b in blocks) and all(

@@ -7,6 +7,9 @@ from contextlib import redirect_stderr
 import numpy as np
 import pytest
 
+import splic.baselines as baselines_module
+import splic.cli as cli_module
+import splic.metrics as metrics_module
 from splic.cli import _build_config, _cfg_hash, _plan_groups, build_parser, main
 from splic.image_io import read_image, write_image, write_trace_csv
 from splic.linalg import numerical_rank
@@ -98,6 +101,74 @@ def test_nan_or_overflowing_parameter_exits_2(tmp_path, scene_file, argv):
     assert code == 2
     assert err.startswith("error: ") and "non-finite" not in err
     assert not out.exists()
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """A list that grows by one on each call of `name` in any of `modules`."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    return calls
+
+
+def test_batch_noise_amplitude_checked_once_before_any_read(tmp_path, monkeypatch):
+    # the same error was printed once per file, after each file was read
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for i in range(6):
+        write_image(make_test_image(i, (20, 24 + 4 * (i % 2))), in_dir / f"img{i}.pgm")
+    reads = _count_calls(monkeypatch, "read_image", cli_module)
+    code, err = run_cli(
+        "defend", "--batch", "--input", in_dir, "--output", tmp_path / "out",
+        "--add-uniform-noise", "inf",
+    )
+    assert code == 2
+    assert err == "error: amplitude must be at most max float / 2, got inf\n"
+    assert reads == []
+
+
+@pytest.mark.parametrize("flag", [("--tau", "nan"), ("--eta", "-1")])
+def test_compare_checks_tau_and_eta_before_any_solve(tmp_path, scene_file, monkeypatch, flag):
+    # both ran the splic and srf solves before failing in a baseline
+    solves = _count_calls(monkeypatch, "splic_complete", metrics_module, baselines_module)
+    out = tmp_path / "c.csv"
+    code, err = run_cli("compare", "--input", scene_file, "--output", out, *flag)
+    assert code == 2
+    assert f"{flag[0][2:]} must be non-negative" in err
+    assert solves == [] and not out.exists()
+
+
+_SHAPE_MISMATCH = "reference must be a single-channel image of the same shape"
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        ("small", _SHAPE_MISMATCH),
+        ("colour", _SHAPE_MISMATCH),
+        ("missing", "reference file not found"),
+    ],
+    ids=["small", "colour", "missing"],
+)
+def test_rank_sweep_checks_reference_before_any_solve(tmp_path, monkeypatch, reference, message):
+    # a mismatched reference failed in psnr, after the first solve
+    src, ref = tmp_path / "in.pgm", tmp_path / "ref.pnm"
+    write_image(make_test_image(0, 64), src)
+    if reference == "small":
+        write_image(make_test_image(0, 32), ref)
+    elif reference == "colour":
+        write_image(np.stack([make_test_image(0, 64)] * 3), ref)
+    solves = _count_calls(monkeypatch, "splic_complete", cli_module)
+    code, err = run_cli(
+        "rank-sweep", "--input", src, "--reference", ref, "--ranks", "4",
+        "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert solves == [] and not (tmp_path / "c.csv").exists()
 
 
 def test_explicit_mask_file(tmp_path, scene_file):

@@ -25,7 +25,7 @@ from splic.image_io import (
     write_trace_csv,
 )
 from splic.sampling import generate_mask
-from splic.solver import ConvergenceTrace, SplicConfig, TraceRecord, splic_complete
+from splic.solver import ConvergenceTrace, SplicConfig, splic_complete
 from splic.testimages import make_test_image
 
 
@@ -279,19 +279,28 @@ def test_read_mask_rejects_gray(tmp_path):
 
 
 def test_trace_csv_header_and_rows(tmp_path):
+    # numpy columns print as Python numbers: repr(np.float64(x)) is
+    # "np.float64(x)" under numpy >= 2
     trace = ConvergenceTrace(
-        (TraceRecord(1, 2.0, 0.5, 1.25, 3.5), TraceRecord(2, 2.0, 0.25, 1.0, 3.0))
+        plane=np.array([0, 0]),
+        t=np.array([1, 2]),
+        delta=np.array([2.0, 2.0]),
+        rel_change=np.array([0.5, 0.25]),
+        srf=np.array([1.25, 1.0]),
+        tv=np.array([3.5, 0.1 + 0.2]),
     )
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == TRACE_CSV_HEADER == "t,delta,rel_change,srf,tv"
-    assert lines[1].startswith("1,2.0,0.5,")
-    assert len(lines) == 3
+    assert TRACE_CSV_HEADER == "t,delta,rel_change,srf,tv"
+    assert path.read_bytes() == (
+        b"t,delta,rel_change,srf,tv\n1,2.0,0.5,1.25,3.5\n2,2.0,0.25,1.0,0.30000000000000004\n"
+    )
 
 
 def test_empty_trace_is_header_only():
-    assert trace_csv_lines(ConvergenceTrace(())) == [TRACE_CSV_HEADER]
+    empty = ConvergenceTrace(*(np.array([]) for _ in range(6)))
+    assert len(empty) == 0
+    assert trace_csv_lines(empty) == [TRACE_CSV_HEADER]
 
 
 def test_trace_csv_roundtrip_from_solver(tmp_path):
@@ -303,7 +312,7 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     assert len(rows) == len(res.trace) + 1
     first = rows[1].split(",")
     assert int(first[0]) == 1
-    assert float(first[1]) == res.trace[0].delta
+    assert float(first[1]) == res.trace.delta[0]
 
 
 def test_config_defaults_from_empty_object(tmp_path):

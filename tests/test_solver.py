@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
-from conftest import exact_svd, two_qr_svd
+from conftest import assert_traces_equal, exact_svd, two_qr_svd
 from splic.baselines import soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
@@ -192,14 +192,15 @@ def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale)
                 SplicConfig(tv_mode=tv_mode, maxiter=28),
                 on_iteration=lambda t, x_hat: frames.setdefault(t, x_hat),
             )
-        for rec in res.trace:
-            assert np.isfinite(rec.rel_change) and np.isfinite(rec.srf), (tv_mode, rec)
+        trace = res.trace
+        assert np.all(np.isfinite(trace.rel_change)) and np.all(np.isfinite(trace.srf)), tv_mode
+        for t, tv in zip(trace.t.tolist(), trace.tv.tolist()):
             # tv is homogeneous of degree 2, and scaling by 2^-600 is exact
-            small = tv_value(np.ldexp(frames[rec.t], -600))
+            small = tv_value(np.ldexp(frames[t], -600))
             if small > np.ldexp(biggest, -1200):
-                assert rec.tv == np.inf, (tv_mode, rec)
+                assert tv == np.inf, (tv_mode, t, tv)
             else:
-                assert rec.tv == pytest.approx(np.ldexp(small, 1200), rel=1e-12), (tv_mode, rec)
+                assert tv == pytest.approx(np.ldexp(small, 1200), rel=1e-12), (tv_mode, t, tv)
 
 
 def test_complement_of_full_mask_invalid_for_solving(rng):
@@ -275,10 +276,10 @@ def test_alternated_reestimates_every_pixel():
 def test_alternated_trace_concatenates_passes():
     x = make_test_image(1, 24)
     res = splic_alternated(x, SplicConfig(seed=4))
-    ts = [rec.t for rec in res.trace]
+    ts = res.trace.t.tolist()
     restarts = [i for i in range(1, len(ts)) if ts[i] == 1]
     assert len(restarts) == 1
-    deltas = res.trace.deltas
+    deltas = res.trace.delta
     boundary = restarts[0]
     assert deltas[boundary] > deltas[boundary - 1]  # schedule restarted
     assert res.iterations == len(res.trace)
@@ -304,7 +305,7 @@ def test_delta_schedule_geometric_and_blocked():
     mask = generate_mask(24, 24, 0.5, 2)
     cfg = SplicConfig()
     res = splic_complete(x, mask, cfg)
-    deltas = res.trace.deltas
+    deltas = res.trace.delta
     assert len(res.trace) % cfg.inner_steps == 0
     blocks = deltas.reshape(-1, cfg.inner_steps)
     for block in blocks:
@@ -318,7 +319,7 @@ def test_trace_srf_capped_by_rank():
     mask = generate_mask(24, 24, 0.5, 3)
     cfg = SplicConfig(r=5)
     res = splic_complete(x, mask, cfg)
-    assert all(rec.srf <= 5.0 + 1e-12 for rec in res.trace)
+    assert np.all(res.trace.srf <= 5.0 + 1e-12)
 
 
 def test_first_block_always_runs():
@@ -333,7 +334,8 @@ def test_maxiter_budget_is_exact():
     mask = generate_mask(24, 24, 0.5, 2)
     res = splic_complete(x, mask, SplicConfig(maxiter=10))
     assert res.iterations == len(res.trace) == 10
-    assert [rec.t for rec in res.trace] == list(range(1, 11))
+    assert res.trace.t.tolist() == list(range(1, 11))
+    assert res.trace.plane.tolist() == [0] * 10
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -351,7 +353,7 @@ def test_determinism_bit_identical():
     b = splic_complete(x, mask, SplicConfig())
     assert np.array_equal(a.completed, b.completed)
     assert np.array_equal(a.low_rank, b.low_rank)
-    assert a.trace.records == b.trace.records
+    assert_traces_equal(a.trace, b.trace)
 
 
 def test_clamp_only_touches_target_pixels():
@@ -488,7 +490,7 @@ def test_top_r_step_matches_full_spectrum_reference(shape, tv_mode, r, monkeypat
     assert np.array_equal(res.low_rank, low_rank)
     assert res.iterations == iterations
     # only the summation order of the trace srf differs
-    assert np.max(np.abs(np.array([rec.srf for rec in res.trace]) - srfs)) <= 1e-12
+    assert np.max(np.abs(res.trace.srf - srfs)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -517,14 +519,16 @@ def _noisy_planes(shape, seed):
 
 
 def _assert_stack_equals_solo(stacked, solos):
-    assert stacked.iterations == sum(s.iterations for s in solos)
+    assert stacked.iterations == len(stacked.trace) == sum(s.iterations for s in solos)
     assert stacked.converged == all(s.converged for s in solos)
-    assert len(stacked.trace) == len(solos)
+    assert set(stacked.trace.plane.tolist()) == set(range(len(solos)))
     for j, solo in enumerate(solos):
         assert np.array_equal(stacked.completed[j], solo.completed)
         assert np.array_equal(stacked.low_rank[j], solo.low_rank)
-        assert len(stacked.trace[j]) == solo.iterations
-        assert stacked.trace[j].records == solo.trace.records
+        rows = stacked.trace.for_plane(j)
+        assert len(rows) == solo.iterations
+        assert np.all(rows.plane == j) and np.all(solo.trace.plane == 0)
+        assert_traces_equal(dataclasses.replace(rows, plane=solo.trace.plane), solo.trace)
 
 
 @pytest.mark.parametrize(
@@ -572,12 +576,35 @@ def test_stack_of_one_equals_plane():
     _assert_stack_equals_solo(splic_complete(x[None], mask, SplicConfig()), [solo])
 
 
+def _assert_step_then_plane_order(t, plane):
+    # one row per live plane per step: (t, plane) pairs strictly increase,
+    # and each plane runs t = 1, 2, ... until it retires
+    assert np.all(np.diff(t * (plane.max() + 1) + plane) > 0)
+    for j in np.unique(plane):
+        assert np.array_equal(t[plane == j], np.arange(1, np.count_nonzero(plane == j) + 1))
+
+
+def test_stack_trace_rows_in_step_then_plane_order():
+    planes = _noisy_planes((24, 24), 2)
+    mask = generate_mask(24, 24, 0.5, 5)
+    cfg = SplicConfig(seed=5)
+    res = splic_complete(planes, mask, cfg)
+    assert len({len(res.trace.for_plane(j)) for j in range(3)}) > 1  # planes retire apart
+    _assert_step_then_plane_order(res.trace.t, res.trace.plane)
+    # two passes: all of the first pass's rows, then the second's
+    res = splic_alternated(planes, cfg)
+    t, plane = res.trace.t, res.trace.plane
+    restart = int(np.flatnonzero(np.diff(t) < 0)[0]) + 1
+    _assert_step_then_plane_order(t[:restart], plane[:restart])
+    _assert_step_then_plane_order(t[restart:], plane[restart:])
+
+
 def test_stack_hook_sees_retired_planes_frozen():
     planes = _noisy_planes((24, 24), 2)
     mask = generate_mask(24, 24, 0.5, 5)
     frames = []
     res = splic_complete(planes, mask, SplicConfig(), on_iteration=lambda t, xh: frames.append(xh))
-    counts = [len(trace) for trace in res.trace]
+    counts = [len(res.trace.for_plane(j)) for j in range(len(planes))]
     assert len(frames) == max(counts)
     for j, count in enumerate(counts):
         solo_frames = []
@@ -699,7 +726,7 @@ def test_warm_path_on_a_graded_spectrum_and_a_flat_plane(monkeypatch):
             res = splic_complete(plane, mask, cfg)
         assert any(calls)  # above the crossover: the warm path ran
         assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
-        assert all(np.isfinite(rec.srf) for rec in res.trace)
+        assert np.all(np.isfinite(res.trace.srf))
         fell_back = not all(calls[1:-1])
         monkeypatch.setattr(solver_module, "svd", two_qr_svd)
         ref = splic_complete(plane, mask, cfg)
@@ -753,9 +780,9 @@ def test_delta_floor_keeps_a_deep_schedule_finite_and_silent():
             res = splic_complete(x, mask, SplicConfig(rho=1e-9, epsilon=1e-30, maxiter=maxiter))
             assert res.iterations == maxiter and not res.converged
             assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
-            assert all(np.isfinite(rec.srf) and rec.delta > 0.0 for rec in res.trace)
+            assert np.all(np.isfinite(res.trace.srf)) and np.all(res.trace.delta > 0.0)
     floor = np.sqrt(np.finfo(np.float64).tiny)
-    assert res.trace.deltas.min() == floor
+    assert res.trace.delta.min() == floor
     # a flat plane with one free pixel at full rank: the Gram path gives
     # exact zeros among the top r, whose surrogate term at the floor is 1
     flat = np.full((32, 32), 0.5)
@@ -766,5 +793,5 @@ def test_delta_floor_keeps_a_deep_schedule_finite_and_silent():
         warnings.simplefilter("error")
         res = splic_complete(flat, anchors, cfg)
         assert srf_value_from_sigma(np.array([1.0, 0.0]), floor) == 1.0
-    assert res.trace.deltas.min() == floor
-    assert all(np.isfinite(rec.srf) for rec in res.trace)
+    assert res.trace.delta.min() == floor
+    assert np.all(np.isfinite(res.trace.srf))
