@@ -12,21 +12,20 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .image_io import (
+    atomic_write,
     config_to_dict,
-    encode_image,
     read_config_json,
     read_header,
     read_image,
     read_mask,
+    write_image,
     write_trace_csv,
 )
 from .linalg import numerical_rank
@@ -45,19 +44,6 @@ IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
 def _cfg_hash(cfg: SplicConfig) -> str:
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _atomic_write(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _solver_flags(parser, with_mask=True, with_fraction=True):
@@ -138,8 +124,7 @@ def _read_reference(path, image) -> np.ndarray:
 
 def _write_output(image, path, cfg):
     comment = f"splic seed={cfg.seed} cfg-hash={_cfg_hash(cfg)}"
-    data = encode_image(image, comments=[comment], clamp=True)
-    _atomic_write(Path(path), data)
+    write_image(image, path, comments=[comment], clamp=True)
 
 
 def _exit_code(args, converged: bool) -> int:
@@ -149,18 +134,11 @@ def _exit_code(args, converged: bool) -> int:
     return EXIT_OK
 
 
-def _finish(args, image, res, cfg) -> int:
-    """Write the completion of `image` and, with --trace, one trace CSV for
-    an (m, n) image or `<stem>.c<i><suffix>` per plane of a colour one;
-    the exit code."""
+def _finish(args, res, cfg) -> int:
+    """Write the completion and, with --trace, its trace CSVs; the exit code."""
     _write_output(res.completed, args.output, cfg)
     if args.trace:
-        path = Path(args.trace)
-        if image.ndim == 2:
-            write_trace_csv(res.trace, path)
-        else:
-            for i in range(len(image)):
-                write_trace_csv(res.trace.for_plane(i), path.with_suffix(f".c{i}{path.suffix}"))
+        write_trace_csv(res.trace, args.trace)
     return _exit_code(args, res.converged)
 
 
@@ -172,7 +150,7 @@ def cmd_complete(args) -> int:
         mask = read_mask(args.mask)
     else:
         mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
-    return _finish(args, image, splic_complete(image, mask, cfg), cfg)
+    return _finish(args, splic_complete(image, mask, cfg), cfg)
 
 
 def _defend_one(image, cfg):
@@ -183,11 +161,18 @@ def _defend_one(image, cfg):
 def cmd_defend(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # a flag the mode would ignore is an error, raised before any file is read
+    if args.batch and args.trace:
+        raise ValueError("--trace works only without --batch")
+    if args.reference_dir and not args.batch:
+        raise ValueError("--reference-dir works only with --batch")
+    if args.summary and not args.reference_dir:
+        raise ValueError("--summary works only with --batch and --reference-dir")
     cfg = _build_config(args)
     if args.batch:
         return _defend_batch(args, cfg)
     image = _read_input(args, cfg)
-    return _finish(args, image, _defend_one(image, cfg), cfg)
+    return _finish(args, _defend_one(image, cfg), cfg)
 
 
 def _plan_groups(files) -> list[list[Path]]:
@@ -289,7 +274,7 @@ def _defend_batch(args, cfg) -> int:
     if ref_dir is not None:
         rows = [outcomes[path][0] for path in files if outcomes[path][1] is None]
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
-        _atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
+        atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -323,7 +308,7 @@ def cmd_compare(args) -> int:
             clean, corrupt, mask, run_cfg, tau=args.tau, eta=args.eta
         )
         lines += [f"{frac!r},{row}" for row in comparison_rows(records)]
-    _atomic_write(Path(args.output), ("\n".join(lines) + "\n").encode())
+    atomic_write(args.output, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 
 
@@ -352,7 +337,7 @@ def cmd_rank_sweep(args) -> int:
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
         _write_output(res.low_rank, out_dir / f"{stem}_r{r}.pgm", run_cfg)
-    _atomic_write(Path(args.csv), ("\n".join(lines) + "\n").encode())
+    atomic_write(args.csv, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 
 

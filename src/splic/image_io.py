@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -241,8 +243,24 @@ def encode_image(
     return head + ("\n".join(body_lines) + "\n").encode("ascii")
 
 
+def atomic_write(path, data: bytes):
+    """Write `data` to `path` by a temp file in its directory and a rename,
+    so `path` keeps its old bytes or gets all of `data`; makes parent dirs."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_image(x, path, fmt=None, maxval=255, comments=(), clamp=False):
-    Path(path).write_bytes(encode_image(x, fmt, maxval, comments, clamp))
+    atomic_write(path, encode_image(x, fmt, maxval, comments, clamp))
 
 
 def read_mask(path) -> np.ndarray:
@@ -255,15 +273,22 @@ def read_mask(path) -> np.ndarray:
     return arr
 
 
-def trace_csv_lines(trace: ConvergenceTrace) -> list[str]:
+def _trace_csv(trace: ConvergenceTrace) -> bytes:
     # values from .tolist() print as Python numbers, not numpy scalars
     columns = (trace.t, trace.delta, trace.rel_change, trace.srf, trace.tv)
-    rows = zip(*(column.tolist() for column in columns))
-    return [TRACE_CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
+    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    return "".join(line + "\n" for line in [TRACE_CSV_HEADER, *rows]).encode("ascii")
 
 
 def write_trace_csv(trace: ConvergenceTrace, path):
-    Path(path).write_text("\n".join(trace_csv_lines(trace)) + "\n", encoding="ascii")
+    """Write `trace` as CSV, atomically: to `path` if every row is plane 0
+    (an (m, n) image), else each plane i's rows to `<stem>.c<i><suffix>`."""
+    path = Path(path)
+    if trace.plane.any():
+        for i in np.unique(trace.plane).tolist():
+            atomic_write(path.with_suffix(f".c{i}{path.suffix}"), _trace_csv(trace.for_plane(i)))
+    else:
+        atomic_write(path, _trace_csv(trace))
 
 
 def config_to_dict(cfg: SplicConfig) -> dict:

@@ -264,14 +264,16 @@ _DELTA_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 def _top_r(current, r, q, basis):
     """The top-r singular triplets of each plane of the live stack, and
-    the q right bases for the next step.
+    the q right bases for the next step, or None where q is None.
 
-    basis=None takes the exact rank path for q triplets.
-    Otherwise each plane takes the warm path from its previous bases; a
-    plane whose residual ||current^T u - sigma v||_F over the top r is
-    not finite or exceeds sigma_r falls back to the exact path, alone, so
-    each plane of a stack gets the factors it would get alone.
+    q=None takes the exact rank path for r triplets, basis=None the exact
+    path for q.  Otherwise each plane takes the warm path from its previous
+    bases; a plane whose residual ||current^T u - sigma v||_F over the top
+    r is not finite or exceeds sigma_r falls back to the exact path, alone,
+    so each plane of a stack gets the factors it would get alone.
     """
+    if q is None:
+        return svd(current, rank=r), None
     if basis is None:
         f = svd(current, rank=q)
         return f.top(r), f.V
@@ -302,7 +304,7 @@ def _step(f, fixed, anchor, delta, dd, cfg, tv_grad):
     return x_tilde
 
 
-def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionResult:
+def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     """Complete the non-anchor pixels of `x` by progressive rank smoothing.
 
     `x` is an (m, n) image or a (k, m, n) stack of planes that share the
@@ -314,10 +316,6 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
 
     A plane whose anchor-masked spectral norm is 0, or whose square
     overflows, is rejected with a ValueError before the first step.
-
-    `on_iteration(t, x_hat)` is an optional instrumentation hook called
-    with each projected iterate (for a stack, all k planes, retired ones
-    at their final value); it must not mutate its argument.
     """
     planes, stacked = _image_stack(x)
     m_bits = validate_mask(mask)
@@ -360,20 +358,13 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
         block_start = current
         dd = (delta * delta)[:, None, None]
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
-            if q is not None:
-                f, basis = _top_r(current, r, q, basis)
-            else:
-                f = svd(current, rank=r)
+            f, basis = _top_r(current, r, q, basis)
             x_next = _step(f, fixed, anchor, delta, dd, cfg, tv_grad)
             t += 1
             rel = relative_change(x_next, current)
             srf = srf_value_from_sigma(f.sigma, delta)
             steps.append((live, np.full(live.size, t), delta, rel, srf, tv_value(x_next)))
             current = x_next
-            if on_iteration is not None:
-                frame = final.copy()
-                frame[live] = current
-                on_iteration(t, frame if stacked else frame[0])
         block_rel = relative_change(current, block_start)
         # floored where delta^2 is the smallest normal float, instead of
         # underflowing to 0: the rank term has vanished there, and
@@ -406,7 +397,7 @@ def splic_complete(x, mask, cfg: SplicConfig, on_iteration=None) -> CompletionRe
     )
 
 
-def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult:
+def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     """Two-pass completion that re-estimates every pixel exactly once.
 
     Pass 1 completes the targets of a fresh random mask; pass 2 swaps the
@@ -420,12 +411,10 @@ def splic_alternated(x, cfg: SplicConfig, on_iteration=None) -> CompletionResult
     arr = as_stack(x, "image")
     m, n = arr.shape[-2:]
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
-    first = splic_complete(arr, mask, cfg, on_iteration=on_iteration)
+    first = splic_complete(arr, mask, cfg)
     # free the first pass's low-rank surface, unused, before the second pass
     first = replace(first, low_rank=None)
-    second = splic_complete(
-        first.completed, complement(mask), cfg, on_iteration=on_iteration
-    )
+    second = splic_complete(first.completed, complement(mask), cfg)
     return CompletionResult(
         completed=second.completed,
         low_rank=second.low_rank,

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
+import splic.solver as solver_module
 from splic.linalg import _sign_fixed, svd
 
 
@@ -28,6 +30,28 @@ def assert_traces_equal(a, b):
     """Every column of two ConvergenceTraces is equal, element for element."""
     for f in dataclasses.fields(a):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@contextlib.contextmanager
+def recorded_steps(every=1):
+    """A list that collects a copy of every `every`-th projected iterate
+    `solver._step` returns while the context is open, in call order: the
+    live (k, m, n) stack of that step, k = 1 for an (m, n) image.  The
+    solver looks `_step` up as a module global at each call, so patching
+    it sees every step."""
+    steps, step, calls = [], solver_module._step, 0
+
+    def recording(*args):
+        nonlocal calls
+        x_next = step(*args)
+        calls += 1
+        if calls % every == 0:
+            steps.append(x_next.copy())
+        return x_next
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_step", recording)
+        yield steps
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, recorded_steps
 from splic.cli import main as cli_main
 from splic.image_io import decode_image, encode_image, write_image, PnmParseError
 from splic.linalg import svd
@@ -182,13 +182,9 @@ def test_criterion_7_projection_identities():
     scene = make_test_image(0, 24)
     mask = generate_mask(24, 24, 0.5, 5)
     anchors = mask == 1.0
-    anchor_ok = []
-    res = splic_complete(
-        scene, mask, cfg,
-        on_iteration=lambda t, xh: anchor_ok.append(
-            np.array_equal(xh[anchors], scene[anchors])
-        ),
-    )
+    with recorded_steps() as steps:
+        res = splic_complete(scene, mask, cfg)
+    anchor_ok = [np.array_equal(xh[0][anchors], scene[anchors]) for xh in steps]
     deltas = res.trace.delta
     blocked = len(res.trace) % 7 == 0
     blocks = deltas.reshape(-1, 7)

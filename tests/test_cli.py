@@ -519,6 +519,31 @@ def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
         assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--batch", "--trace", "t.csv"], "--trace"),
+        (["--batch", "--summary", "s.csv"], "--summary"),
+        (["--reference-dir", "ref", "--summary", "s.csv"], "--reference-dir"),
+    ],
+)
+def test_defend_rejects_flags_its_mode_ignores(tmp_path, scene_file, monkeypatch, flags, named):
+    in_dir, ref_dir = tmp_path / "in", tmp_path / "ref"
+    for d in (in_dir, ref_dir):
+        d.mkdir()
+        write_image(make_test_image(0, 16), d / "img.pgm")
+    batch = "--batch" in flags
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, err = run_cli(
+        "defend", "--input", in_dir if batch else scene_file,
+        "--output", "out" if batch else "out.pgm", *flags,
+    )
+    assert code == 2
+    assert named in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_defend_batch_isolates_a_corrupt_file(tmp_path):
     in_dir, ref_dir = _mixed_dir(tmp_path)
     (in_dir / "img1.ppm").write_bytes(b"P3\n20 24\n255\n0 1 x\n")

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from splic.image_io import (
     read_header,
     read_image,
     read_mask,
-    trace_csv_lines,
     write_image,
     write_trace_csv,
 )
@@ -297,10 +297,11 @@ def test_trace_csv_header_and_rows(tmp_path):
     )
 
 
-def test_empty_trace_is_header_only():
+def test_empty_trace_is_header_only(tmp_path):
     empty = ConvergenceTrace(*(np.array([]) for _ in range(6)))
     assert len(empty) == 0
-    assert trace_csv_lines(empty) == [TRACE_CSV_HEADER]
+    write_trace_csv(empty, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == TRACE_CSV_HEADER + "\n"
 
 
 def test_trace_csv_roundtrip_from_solver(tmp_path):
@@ -313,6 +314,32 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     first = rows[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == res.trace.delta[0]
+
+
+def test_stack_trace_writes_one_csv_per_plane(tmp_path):
+    planes = np.stack([make_test_image(i, 24) for i in range(2)])
+    mask = generate_mask(24, 24, 0.5, 1)
+    write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.c0.csv", "t.c1.csv"]
+    for i, plane in enumerate(planes):
+        solo = tmp_path / "solo" / "s.csv"
+        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo)
+        assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
+
+
+def test_trace_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old")
+    trace = ConvergenceTrace(*(np.array([]) for _ in range(6)))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_trace_csv(trace, path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_config_defaults_from_empty_object(tmp_path):

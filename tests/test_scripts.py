@@ -28,7 +28,8 @@ def test_script_runs_on_one_tiny_scene(tmp_path, script, args, outputs):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--count", "1", "--size", "16", *args],
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
+        # the RuntimeWarning rule tier-1 sets in pyproject.toml, in the child
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning"),
         capture_output=True,
         text=True,
         timeout=120,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
-from conftest import assert_traces_equal, exact_svd, two_qr_svd
+from conftest import assert_traces_equal, exact_svd, recorded_steps, two_qr_svd
 from splic.baselines import soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
@@ -183,20 +183,14 @@ def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale)
     mask = generate_mask(side, side, 0.5, 1)
     biggest = np.finfo(np.float64).max
     for tv_mode in ("exact", "paper"):
-        frames = {}
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), recorded_steps() as frames:
             warnings.simplefilter("error")
-            res = splic_complete(
-                x,
-                mask,
-                SplicConfig(tv_mode=tv_mode, maxiter=28),
-                on_iteration=lambda t, x_hat: frames.setdefault(t, x_hat),
-            )
+            res = splic_complete(x, mask, SplicConfig(tv_mode=tv_mode, maxiter=28))
         trace = res.trace
         assert np.all(np.isfinite(trace.rel_change)) and np.all(np.isfinite(trace.srf)), tv_mode
         for t, tv in zip(trace.t.tolist(), trace.tv.tolist()):
             # tv is homogeneous of degree 2, and scaling by 2^-600 is exact
-            small = tv_value(np.ldexp(frames[t], -600))
+            small = tv_value(np.ldexp(frames[t - 1][0], -600))
             if small > np.ldexp(biggest, -1200):
                 assert tv == np.inf, (tv_mode, t, tv)
             else:
@@ -289,12 +283,9 @@ def test_anchor_fidelity_at_every_iteration():
     x = make_test_image(2, 24)
     mask = generate_mask(24, 24, 0.5, 11)
     anchors = mask == 1.0
-    seen = []
-
-    def hook(t, xh):
-        seen.append(np.array_equal(xh[anchors], x[anchors]))
-
-    res = splic_complete(x, mask, SplicConfig(), on_iteration=hook)
+    with recorded_steps() as steps:
+        res = splic_complete(x, mask, SplicConfig())
+    seen = [np.array_equal(xh[0][anchors], x[anchors]) for xh in steps]
     assert len(seen) == res.iterations
     assert all(seen)
     assert np.array_equal(res.completed[anchors], x[anchors])
@@ -597,21 +588,6 @@ def test_stack_trace_rows_in_step_then_plane_order():
     restart = int(np.flatnonzero(np.diff(t) < 0)[0]) + 1
     _assert_step_then_plane_order(t[:restart], plane[:restart])
     _assert_step_then_plane_order(t[restart:], plane[restart:])
-
-
-def test_stack_hook_sees_retired_planes_frozen():
-    planes = _noisy_planes((24, 24), 2)
-    mask = generate_mask(24, 24, 0.5, 5)
-    frames = []
-    res = splic_complete(planes, mask, SplicConfig(), on_iteration=lambda t, xh: frames.append(xh))
-    counts = [len(res.trace.for_plane(j)) for j in range(len(planes))]
-    assert len(frames) == max(counts)
-    for j, count in enumerate(counts):
-        solo_frames = []
-        splic_complete(planes[j], mask, SplicConfig(), lambda t, xh: solo_frames.append(xh))
-        for t, frame in enumerate(frames):
-            assert frame.shape == planes.shape
-            assert np.array_equal(frame[j], solo_frames[min(t, count - 1)])
 
 
 def test_stack_input_validation():

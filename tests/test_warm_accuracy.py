@@ -23,7 +23,7 @@ import pytest
 
 import splic.baselines as baselines_module
 import splic.solver as solver_module
-from conftest import exact_svd
+from conftest import exact_svd, recorded_steps
 from splic.baselines import soft_impute_with_count
 from splic.linalg import warm_rank
 from splic.metrics import psnr
@@ -42,16 +42,11 @@ MAX_PSNR_LOSS_DB = 0.05
 def _pass(x, mask, cfg, exact):
     """One `splic_complete` pass and its per-block changes, on the warm
     path or with every step exact."""
-    ends = [np.where(mask == 1.0, x, 0.0)]
-
-    def hook(t, x_hat):
-        if t % cfg.inner_steps == 0:
-            ends.append(x_hat)
-
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, recorded_steps(cfg.inner_steps) as steps:
         if exact:
             mp.setattr(solver_module, "svd", exact_svd)
-        res = splic_complete(x, mask, cfg, on_iteration=hook)
+        res = splic_complete(x, mask, cfg)
+    ends = [np.where(mask == 1.0, x, 0.0)] + [step[0] for step in steps]
     return res, [relative_change(b, a) for a, b in zip(ends, ends[1:])]
 
 
