@@ -281,11 +281,13 @@ def _trace_csv(trace: ConvergenceTrace) -> bytes:
 
 
 def write_trace_csv(trace: ConvergenceTrace, path):
-    """Write `trace` as CSV, atomically: to `path` if every row is plane 0
-    (an (m, n) image), else each plane i's rows to `<stem>.c<i><suffix>`."""
+    """Write `trace` as CSV, atomically: to `path` if its rows are of one
+    plane (an (m, n) image, or one plane picked from a stack), else each
+    plane i's rows to `<stem>.c<i><suffix>`."""
     path = Path(path)
-    if trace.plane.any():
-        for i in np.unique(trace.plane).tolist():
+    planes = np.unique(trace.plane).tolist()
+    if len(planes) > 1:
+        for i in planes:
             atomic_write(path.with_suffix(f".c{i}{path.suffix}"), _trace_csv(trace.for_plane(i)))
     else:
         atomic_write(path, _trace_csv(trace))

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr
 
 import numpy as np
@@ -489,7 +492,7 @@ def _mixed_dir(tmp_path):
 def test_defend_batch_output_independent_of_jobs(tmp_path):
     in_dir, ref_dir = _mixed_dir(tmp_path)
     outputs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out_dir = tmp_path / f"out{jobs}"
         code, _ = run_cli(
             "defend", "--input", in_dir, "--output", out_dir, "--batch",
@@ -499,7 +502,105 @@ def test_defend_batch_output_independent_of_jobs(tmp_path):
         assert code == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert sorted(outputs[0]) == ["img0.pgm", "img1.ppm", "img2.pgm", "img3.ppm", "summary.csv"]
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_defend_one_on_a_worker_process_equals_the_in_process_solve():
+    planes = np.stack([make_test_image(i, (20, 28)) for i in range(3)])
+    cfg = SplicConfig(seed=3)
+    here = cli_module._defend_one(planes, cfg)
+    with cli_module._worker_pool() as pool:
+        there = cli_module._defend_one(planes, cfg, pool)
+    assert np.array_equal(there.completed, here.completed)
+    assert np.array_equal(there.low_rank, here.low_rank)
+    for a, b in zip(there.trace.columns(), here.trace.columns(), strict=True):
+        assert np.array_equal(a, b)
+    assert (there.iterations, there.converged) == (here.iterations, here.converged)
+
+
+class InProcessPool:
+    """Stands in for `cli._worker_pool()` without starting a process: each
+    submit runs here, and from submit number `dies_at` on, its future
+    raises BrokenProcessPool as if the worker had died."""
+
+    def __init__(self, dies_at=None):
+        self.submitted = []
+        self.dies_at = dies_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted.append(fn)
+        future = Future()
+        if self.dies_at is not None and len(self.submitted) > self.dies_at:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+
+def _patch_worker_pool(monkeypatch, dies_at=None):
+    """Make `cli._worker_pool` return InProcessPools; the list of those made."""
+    made = []
+
+    def make():
+        made.append(InProcessPool(dies_at))
+        return made[-1]
+
+    monkeypatch.setattr(cli_module, "_worker_pool", make)
+    return made
+
+
+@pytest.mark.parametrize("jobs, pools", [("1", 0), ("2", 1), ("8", 1)])
+def test_defend_batch_starts_a_worker_per_extra_group(
+    tmp_path, batch_dir, monkeypatch, jobs, pools
+):
+    assert len(_plan_groups(sorted(batch_dir.iterdir()))) == 2
+    started = _patch_worker_pool(monkeypatch)
+    code, _ = run_cli(
+        "defend", "--input", batch_dir, "--output", tmp_path / "out", "--batch",
+        "--jobs", jobs, "--maxiter", "14",
+    )
+    assert code == 0
+    assert len(started) == pools
+
+
+def test_solve_groups_processes_each_group_once_under_contention(monkeypatch):
+    pools = _patch_worker_pool(monkeypatch)
+    seen = []
+
+    def process(group, pool=None):
+        seen.append(group)
+        return group * 2 if pool is None else pool.submit(int, group * 2).result()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = cli_module._solve_groups(list(range(300)), process, jobs=8)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(pools) == 7
+    assert results == [2 * g for g in range(300)]
+    assert sorted(seen) == list(range(300))
+
+
+@pytest.mark.parametrize("dies_at", [0, 1], ids=["before-ready", "at-first-solve"])
+def test_defend_batch_byte_identical_when_a_worker_dies(tmp_path, monkeypatch, dies_at):
+    in_dir, ref_dir = _same_shape_dir(tmp_path)
+    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 200 + b"x\n")
+    (ref_dir / "img1b.pgm").write_bytes((ref_dir / "img0.pgm").read_bytes())
+    flags = ("--maxiter", "21", "--add-uniform-noise", "0.03")
+    expected = _batch_outputs(in_dir, ref_dir, tmp_path / "serial", *flags)
+    assert expected[0] == 2
+    pools = _patch_worker_pool(monkeypatch, dies_at)
+    got = _batch_outputs(in_dir, ref_dir, tmp_path / "dead", "--jobs", "3", *flags)
+    assert got == expected
+    # the no-op round trip, then up to `dies_at` solves; a dead worker's feeder stops
+    assert len(pools) == 2 and max(len(pool.submitted) for pool in pools) == dies_at + 1
 
 
 def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
@@ -525,6 +626,7 @@ def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
         (["--batch", "--trace", "t.csv"], "--trace"),
         (["--batch", "--summary", "s.csv"], "--summary"),
         (["--reference-dir", "ref", "--summary", "s.csv"], "--reference-dir"),
+        (["--jobs", "4"], "--jobs"),
     ],
 )
 def test_defend_rejects_flags_its_mode_ignores(tmp_path, scene_file, monkeypatch, flags, named):
@@ -643,7 +745,7 @@ def test_defend_batch_groups_byte_identical_to_per_file_runs(tmp_path):
         code, _ = run_cli("defend", "--input", path, "--output", single, "--seed", "4", *noise)
         assert code == 0 and single.read_bytes() == per_file[path.name]
     summary = b"\n".join([b"file,psnr_db", *rows]) + b"\n"
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, _, out = _batch_outputs(
             in_dir, ref_dir, tmp_path / f"out{jobs}", "--jobs", jobs, *noise
         )
@@ -664,7 +766,7 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
     groups = _plan_groups(sorted(in_dir.iterdir()))
     assert any(len(g) > 1 and in_dir / "img1b.pgm" in g for g in groups)
     assert any(len(g) > 1 and in_dir / "img2b.pgm" in g for g in groups)
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, err, out = _batch_outputs(
             in_dir, ref_dir, tmp_path / f"out{jobs}", "--maxiter", "21", "--jobs", jobs
         )

@@ -327,6 +327,17 @@ def test_stack_trace_writes_one_csv_per_plane(tmp_path):
         assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
 
 
+def test_one_plane_of_a_stack_trace_writes_its_path(tmp_path):
+    planes = np.stack([make_test_image(i, 24) for i in range(2)])
+    mask = generate_mask(24, 24, 0.5, 1)
+    trace = splic_complete(planes, mask, SplicConfig()).trace
+    write_trace_csv(trace.for_plane(1), tmp_path / "p1.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv"]
+    solo = tmp_path / "solo" / "s.csv"
+    write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo)
+    assert (tmp_path / "p1.csv").read_bytes() == solo.read_bytes()
+
+
 def test_trace_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old")
