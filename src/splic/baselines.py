@@ -47,12 +47,9 @@ def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1
     is gated by a test.
     """
     arr = as_matrix(x)
-    m_bits = validate_mask(mask)
-    if m_bits.shape != arr.shape:
-        raise ValueError(f"mask shape {m_bits.shape} != image shape {arr.shape}")
+    observed = validate_mask(mask, arr.shape)
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    observed = m_bits == 1.0
     z = np.where(observed, arr, 0.0)
     basis = None
     done = 0
@@ -97,14 +94,12 @@ def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
     """
     check_nonnegative("eta", eta)
     arr = as_matrix(x)
-    m_bits = validate_mask(mask)
-    if m_bits.shape != arr.shape:
-        raise ValueError(f"mask shape {m_bits.shape} != image shape {arr.shape}")
-    p_hat = float(np.mean(m_bits))
+    observed = validate_mask(mask, arr.shape)
+    p_hat = float(np.mean(observed))
     if p_hat == 0.0:
         raise ValueError("mask has no observed entries")
     n = arr.shape[1]
-    scaled = np.where(m_bits == 1.0, arr, 0.0) / p_hat
+    scaled = np.where(observed, arr, 0.0) / p_hat
     f = svd(scaled)
     threshold = (1.0 + eta) * np.sqrt(n * p_hat)
     kept = np.where(f.sigma >= threshold, f.sigma, 0.0)

@@ -28,6 +28,8 @@ _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _BINARY_MAGICS = (b"P5", b"P6")
 # a '#' ends the token it touches and comments out the rest of its line
 _COMMENT = re.compile(rb"#[^\n\r]*")
+# separators (whitespace and comments), then a token: empty only at the end
+_TOKEN = re.compile(rb"(?:\s+|" + _COMMENT.pattern + rb")*([^\s#]*)")
 
 
 class PnmParseError(ValueError):
@@ -46,68 +48,47 @@ class ConfigError(ValueError):
     """Bad solver config file."""
 
 
-class _Scanner:
-    """Tokenizer over header bytes: whitespace-separated fields, with
-    '#' comments running to end of line."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.data) and self.data[
-                    self.pos : self.pos + 1
-                ] not in (b"\n", b"\r"):
-                    self.pos += 1
-            else:
-                return
-
-    def token(self, what: str) -> tuple[bytes, int]:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PnmParseError(f"missing {what}", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[
-            self.pos : self.pos + 1
-        ].isspace() and self.data[self.pos : self.pos + 1] != b"#":
-            self.pos += 1
-        return self.data[start : self.pos], start
-
-    def int_token(self, what: str, low: int, high: int) -> int:
-        tok, start = self.token(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise PnmParseError(f"{what} is not an integer: {tok!r}", start) from None
-        if not low <= value <= high:
-            raise PnmParseError(
-                f"{what} {value} out of range [{low}, {high}]", start
-            )
-        return value
+def _token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
+    """`(token, start, end)` of the first token at or after `pos`."""
+    match = _TOKEN.match(data, pos)
+    start, end = match.span(1)
+    if start == end:
+        raise PnmParseError(f"missing {what}", start)
+    return match.group(1), start, end
 
 
-def _ascii_samples_scalar(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
-    """Read `count` ASCII samples in [0, maxval] one token at a time."""
-    values = np.empty(count, dtype=np.int64)
+def _int_token(data: bytes, pos: int, what: str, low: int, high: int) -> tuple[int, int]:
+    """`(value, end)` of the first token at or after `pos`, an integer in
+    [low, high]."""
+    tok, start, end = _token(data, pos, what)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise PnmParseError(f"{what} is not an integer: {tok!r}", start) from None
+    if not low <= value <= high:
+        raise PnmParseError(f"{what} {value} out of range [{low}, {high}]", start)
+    return value, end
+
+
+def _ascii_samples_scalar(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """Read `count` ASCII samples in [0, maxval] from `pos`, one token at a
+    time; only the tokens present are held, whatever `count` is."""
+    values = []
     for i in range(count):
-        values[i] = scanner.int_token(f"sample {i}", 0, maxval)
-    return values
+        value, pos = _int_token(data, pos, f"sample {i}", 0, maxval)
+        values.append(value)
+    return np.array(values, dtype=np.int64)
 
 
-def _ascii_samples(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
-    """Read `count` ASCII samples in [0, maxval] from the scanner's position.
+def _ascii_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """Read `count` ASCII samples in [0, maxval] from `pos`.
 
     Splits the payload in one call (comments blanked first) and converts
     with `int`, exactly as the token loop does.  If any token fails to
     convert, too few are present or a value is out of range, the token
     loop reruns and raises its error with the offending byte offset.
     """
-    payload = scanner.data[scanner.pos :]
+    payload = data[pos:]
     if b"#" in payload:
         payload = _COMMENT.sub(b" ", payload)
     tokens = payload.split(None, count)
@@ -119,43 +100,40 @@ def _ascii_samples(scanner: _Scanner, count: int, maxval: int) -> np.ndarray:
         else:
             if samples.min() >= 0 and samples.max() <= maxval:
                 return samples
-    return _ascii_samples_scalar(scanner, count, maxval)
+    return _ascii_samples_scalar(data, pos, count, maxval)
 
 
-def _parse_header(scanner: _Scanner) -> tuple[bytes, int, int, int]:
-    """Read `(magic, width, height, maxval)`; the scanner stops right after
-    the maxval token."""
-    magic, magic_at = scanner.token("magic number")
+def _parse_header(data: bytes) -> tuple[bytes, int, int, int, int]:
+    """`(magic, width, height, maxval, end)`, where `end` is the offset
+    right after the maxval token."""
+    magic, magic_at, pos = _token(data, 0, "magic number")
     if magic not in _MAGIC_CHANNELS:
         raise PnmParseError(f"unsupported magic {magic!r}", magic_at)
-    width = scanner.int_token("width", 1, 1 << 30)
-    height = scanner.int_token("height", 1, 1 << 30)
-    maxval = scanner.int_token("maxval", 1, 65535)
-    return magic, width, height, maxval
+    width, pos = _int_token(data, pos, "width", 1, 1 << 30)
+    height, pos = _int_token(data, pos, "height", 1, 1 << 30)
+    maxval, pos = _int_token(data, pos, "maxval", 1, 65535)
+    return magic, width, height, maxval, pos
 
 
 def read_header(path) -> tuple[int, int, int]:
     """`(channels, m, n)` of a PGM/PPM file, from its header parsed as
     `decode_image` parses it, so any `PnmParseError` (message and offset)
     is the one `decode_image` gives; the payload is not decoded."""
-    magic, width, height, _ = _parse_header(_Scanner(Path(path).read_bytes()))
+    magic, width, height, _, _ = _parse_header(Path(path).read_bytes())
     return _MAGIC_CHANNELS[magic], height, width
 
 
 def decode_image(data: bytes) -> np.ndarray:
     """Decode PGM/PPM bytes to a (m, n) plane or (3, m, n) channel stack."""
-    scanner = _Scanner(data)
-    magic, width, height, maxval = _parse_header(scanner)
+    magic, width, height, maxval, pos = _parse_header(data)
     channels = _MAGIC_CHANNELS[magic]
     count = width * height * channels
 
     if magic in _BINARY_MAGICS:
         # exactly one whitespace byte separates the header from the payload
-        if scanner.pos >= len(data) or not data[
-            scanner.pos : scanner.pos + 1
-        ].isspace():
-            raise PnmParseError("missing whitespace before binary payload", scanner.pos)
-        payload_at = scanner.pos + 1
+        if not data[pos : pos + 1].isspace():
+            raise PnmParseError("missing whitespace before binary payload", pos)
+        payload_at = pos + 1
         bytes_per = 2 if maxval > 255 else 1
         need = count * bytes_per
         payload = data[payload_at : payload_at + need]
@@ -173,7 +151,7 @@ def decode_image(data: bytes) -> np.ndarray:
                 payload_at + bad * bytes_per,
             )
     else:
-        samples = _ascii_samples(scanner, count, maxval)
+        samples = _ascii_samples(data, pos, count, maxval)
 
     flat = samples.astype(np.float64) / float(maxval)
     if channels == 1:

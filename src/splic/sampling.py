@@ -36,15 +36,18 @@ def generate_mask(m: int, n: int, p: float, seed: int) -> np.ndarray:
 
 def complement(mask) -> np.ndarray:
     """Entrywise 1 - mask; swaps the anchor and target sets."""
-    arr = validate_mask(mask)
-    return 1.0 - arr
+    return 1.0 - validate_mask(mask)
 
 
-def validate_mask(mask) -> np.ndarray:
-    """Check a mask is 2-D with entries in {0, 1} and return it as float64."""
+def validate_mask(mask, shape=None) -> np.ndarray:
+    """The anchor booleans of a mask, checked to be 2-D, with entries in
+    {0, 1} and, when `shape` is given, of that (m, n) shape."""
     arr = np.asarray(mask, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
+    anchor = arr == 1.0
+    if not np.all(anchor | (arr == 0.0)):
         raise ValueError("mask entries must all be 0 or 1")
-    return arr
+    if shape is not None and arr.shape != tuple(shape):
+        raise ValueError(f"mask shape {arr.shape} != image shape {tuple(shape)}")
+    return anchor

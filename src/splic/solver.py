@@ -139,6 +139,8 @@ class SplicConfig:
             raise ValueError(
                 f"anchor_fraction must be in (0, 1], got {self.anchor_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"target rank must be at least 1, got {self.r}")
         if self.tv_mode not in TV_MODES:
@@ -318,15 +320,12 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     overflows, is rejected with a ValueError before the first step.
     """
     planes, stacked = _image_stack(x)
-    m_bits = validate_mask(mask)
     k, m, n = planes.shape
-    if m_bits.shape != (m, n):
-        raise ValueError(f"mask shape {m_bits.shape} != image shape {(m, n)}")
+    anchor = validate_mask(mask, (m, n))
     r = cfg.resolve_rank(m, n)
     # None where one block power step costs no less than the exact Gram
     # path; see the module docstring
     q = warm_rank(r, m, n)
-    anchor = m_bits == 1.0
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 
     current = np.where(anchor, planes, 0.0)

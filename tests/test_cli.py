@@ -133,6 +133,23 @@ def test_batch_noise_amplitude_checked_once_before_any_read(tmp_path, monkeypatc
     assert reads == []
 
 
+def test_batch_negative_seed_checked_once_before_any_read(tmp_path, monkeypatch):
+    # numpy's "expected non-negative integer" was printed once per file,
+    # after each group was read and re-solved one file at a time
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for i in range(2):
+        write_image(make_test_image(i, 20), in_dir / f"img{i}.pgm")
+    reads = _count_calls(monkeypatch, "read_image", cli_module)
+    code, err = run_cli(
+        "defend", "--batch", "--input", in_dir, "--output", tmp_path / "out",
+        "--seed", "-1",
+    )
+    assert code == 2
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert reads == []
+
+
 @pytest.mark.parametrize("flag", [("--tau", "nan"), ("--eta", "-1")])
 def test_compare_checks_tau_and_eta_before_any_solve(tmp_path, scene_file, monkeypatch, flag):
     # both ran the splic and srf solves before failing in a baseline
@@ -647,19 +664,28 @@ def test_defend_rejects_flags_its_mode_ignores(tmp_path, scene_file, monkeypatch
 
 
 def test_defend_batch_isolates_a_corrupt_file(tmp_path):
-    in_dir, ref_dir = _mixed_dir(tmp_path)
-    (in_dir / "img1.ppm").write_bytes(b"P3\n20 24\n255\n0 1 x\n")
-    out_dir = tmp_path / "out"
-    code, err = run_cli(
-        "defend", "--input", in_dir, "--output", out_dir, "--batch",
-        "--reference-dir", ref_dir, "--jobs", "2", "--maxiter", "14",
-    )
-    assert code == 2
-    assert "img1.ppm" in err and "not an integer" in err
-    written = sorted(p.name for p in out_dir.iterdir())
-    assert written == ["img0.pgm", "img2.pgm", "img3.ppm", "summary.csv"]
-    rows = list(csv.DictReader((out_dir / "summary.csv").open()))
-    assert [r["file"] for r in rows] == ["img0.pgm", "img2.pgm", "img3.ppm"]
+    # a P2 header promising 70000 x 70000 samples raised MemoryError, which
+    # ended the whole batch with a traceback
+    corrupt = [
+        (b"P3\n20 24\n255\n0 1 x\n", "not an integer"),
+        (b"P2\n70000 70000\n255\n0 1 2\n", "missing sample 3"),
+    ]
+    for i, (data, message) in enumerate(corrupt):
+        root = tmp_path / str(i)
+        root.mkdir()
+        in_dir, ref_dir = _mixed_dir(root)
+        (in_dir / "img1.ppm").write_bytes(data)
+        out_dir = root / "out"
+        code, err = run_cli(
+            "defend", "--input", in_dir, "--output", out_dir, "--batch",
+            "--reference-dir", ref_dir, "--jobs", "2", "--maxiter", "14",
+        )
+        assert code == 2
+        assert "img1.ppm" in err and message in err
+        written = sorted(p.name for p in out_dir.iterdir())
+        assert written == ["img0.pgm", "img2.pgm", "img3.ppm", "summary.csv"]
+        rows = list(csv.DictReader((out_dir / "summary.csv").open()))
+        assert [r["file"] for r in rows] == ["img0.pgm", "img2.pgm", "img3.ppm"]
 
 
 def test_defend_batch_missing_reference_writes_nothing(tmp_path):

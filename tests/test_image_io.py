@@ -170,7 +170,7 @@ _ASCII_PAYLOADS = st.lists(
 
 def _read_samples(read, payload, count, maxval):
     try:
-        return read(image_io._Scanner(payload), count, maxval).tolist()
+        return read(payload, 0, count, maxval).tolist()
     except PnmParseError as exc:
         return type(exc), str(exc), exc.offset
 
@@ -193,6 +193,12 @@ def test_ascii_samples_fall_back_for_error_offsets():
     assert err.value.offset == 13
     with pytest.raises(PnmParseError, match="missing sample 3"):
         decode_image(b"P2\n2 2\n255\n0 1 2")
+    # headers promising more samples than memory holds raised MemoryError
+    # and numpy's "array is too big"; only the tokens present are kept
+    for data in (b"P2\n70000 70000\n255\n0 1 2\n", b"P3\n1073741824 1073741824\n255\n0 1 2\n"):
+        with pytest.raises(PnmParseError, match="missing sample 3") as err:
+            decode_image(data)
+        assert err.value.offset == len(data)
 
 
 def test_ascii_comments_stay_on_the_split_path(monkeypatch):
@@ -216,6 +222,30 @@ def test_parser_total_with_valid_ascii_prefix(prefix, suffix):
     assert np.all((img >= 0.0) & (img <= 1.0))
 
 
+_DIMENSIONS = st.integers(1, 1 << 30) | st.sampled_from([1, 70000, 1 << 30])
+
+
+@given(
+    st.sampled_from(sorted(image_io._MAGIC_CHANNELS)),
+    _DIMENSIONS,
+    _DIMENSIONS,
+    st.integers(1, 65535),
+    st.lists(_SEPARATORS, min_size=4, max_size=4),
+)
+@settings(deadline=None, max_examples=200)
+def test_built_headers_parse_and_decode_totally(tmp_path_factory, magic, width, height, maxval, seps):
+    # a large header and a short payload raised MemoryError or ValueError
+    fields = [magic] + [str(v).encode() for v in (width, height, maxval)]
+    header = b"".join(field + sep for field, sep in zip(fields, seps))
+    path = tmp_path_factory.mktemp("hdr") / "img.pnm"
+    path.write_bytes(header)
+    assert read_header(path) == (image_io._MAGIC_CHANNELS[magic], height, width)
+    try:
+        decode_image(header + b"0 1 2\n")
+    except PnmParseError:
+        pass
+
+
 @pytest.mark.parametrize(
     "header, expected",
     [
@@ -223,7 +253,6 @@ def test_parser_total_with_valid_ascii_prefix(prefix, suffix):
         (b"P3 4#width\n2 # height\n65535\n", (3, 2, 4)),
         (b"P5\n#a\n#b\n7 2\n# maxval next\n255\n", (1, 2, 7)),
         (b"P6\t3\r\n4\x0b255\n", (3, 4, 3)),
-        # a comment past the first 1024-byte prefix; a width across its end
         (b"P5\n#" + b"x" * 1500 + b"\n9 4\n255\n", (1, 4, 9)),
         (b"P5\n" + b" " * 1020 + b"1234 2\n255\n", (1, 2, 1234)),
     ],
@@ -248,7 +277,7 @@ def test_read_header_agrees_with_decode_image(tmp_path, header, expected):
         b"P6\n2 2\n0\n",
         b"P3\n0 2\n255\n",
         b"P5\n" + b" " * 1020 + b"12x4 2\n255\n",
-        b"P5 4 2" + b" " * 1015 + b"65536\n",  # the first prefix ends at "655"
+        b"P5 4 2" + b" " * 1015 + b"65536\n",
         b"P5\n2 2 " + b"#" * 3000,
     ],
 )
@@ -428,6 +457,13 @@ def test_config_field_name_lam_is_not_a_key():
 def test_config_value_of_the_wrong_type_is_a_config_error():
     with pytest.raises(ConfigError, match="lambda must be float"):
         config_from_dict({"lambda": "0.05"})
+
+
+def test_config_rejects_negative_seed(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": -1}')
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        read_config_json(path)
 
 
 def test_config_malformed_json(tmp_path):

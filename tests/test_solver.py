@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import splic.solver as solver_module
 from conftest import assert_traces_equal, exact_svd, recorded_steps, two_qr_svd
-from splic.baselines import soft_threshold_singular, usvt
+from splic.baselines import soft_impute_with_count, soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
@@ -57,6 +58,10 @@ def test_config_validation():
         SplicConfig(tv_mode="fancy")
     with pytest.raises(ValueError, match="rank"):
         SplicConfig(r=0)
+    # numpy's generator raised "expected non-negative integer" at the first
+    # mask draw, naming no key
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SplicConfig(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -599,6 +604,9 @@ def test_stack_input_validation():
         splic_complete(np.ones((0, 8, 8)), mask, SplicConfig())
     with pytest.raises(ValueError, match="mask shape"):
         splic_complete(np.stack([x, x]), np.ones((8, 9)), SplicConfig())
+    for baseline in (functools.partial(soft_impute_with_count, tau=0.1), usvt):
+        with pytest.raises(ValueError, match=r"mask shape \(8, 9\) != image shape \(8, 8\)"):
+            baseline(x, np.ones((8, 9)))
     # any all-zero plane leaves its delta undefined
     with pytest.raises(ValueError, match="zero"):
         splic_complete(np.stack([x, np.zeros((8, 8))]), mask, SplicConfig())
