@@ -186,14 +186,17 @@ def _plan_groups(files) -> list[list[Path]]:
     A group holds files of one (m, n), in the order given; its planes
     total at most as many pixels as the largest file of the batch, so no
     stack is bigger than one file alone.  A file whose header cannot be
-    read forms a group of its own.
+    read, or that is smaller than the c * m * n bytes its samples need at
+    1 byte each, forms a group of its own and does not set that bound.
     """
     headers = {}
     for path in files:
         try:
-            headers[path] = read_header(path)
+            c, m, n = read_header(path)
+            fits = path.stat().st_size >= c * m * n
         except (ValueError, OSError):
-            headers[path] = None
+            fits = False
+        headers[path] = (c, m, n) if fits else None
     budget = max((c * m * n for c, m, n in filter(None, headers.values())), default=0)
     groups = []
     filling = {}  # (m, n) -> [group, plane-pixels]

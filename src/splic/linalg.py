@@ -7,7 +7,6 @@ exactly as it would be on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,31 +203,6 @@ def residual_ok(x, f: SvdFactors) -> np.ndarray:
     residual = np.swapaxes(x, -1, -2) @ f.U - f.V * f.sigma[..., None, :]
     norm = np.linalg.norm(residual, axis=(-2, -1))
     return np.isfinite(norm) & (norm <= f.sigma[..., -1])
-
-
-def scaled_on_overflow(fn, degree: int, *stacks) -> np.ndarray:
-    """fn(*stacks): one value per matrix of the (..., m, n) stacks, for an
-    fn homogeneous of the given degree in them.
-
-    The plain value is returned bit for bit wherever it is finite.  Where
-    it is not, fn runs again on that matrix of each stack multiplied by
-    2^-e, which is exact and puts the largest entry below 1, and the value
-    is multiplied back by 2^(degree * e): it is then inf only where the
-    true value exceeds the largest float, and no overflow warning leaks.
-    """
-    with np.errstate(over="ignore"):
-        values = fn(*stacks)
-        # the few values are scanned in Python: a numpy reduction over
-        # them costs several times more, and the solver pays it every step
-        if all(map(math.isfinite, values.tolist() if values.ndim else [values])):
-            return values
-        values = np.array(values, dtype=np.float64)
-        big = ~np.isfinite(values)
-        top = np.max([np.abs(s[big]).max(axis=(-2, -1)) for s in stacks], axis=0)
-        e = np.frexp(top)[1]
-        scaled = [np.ldexp(s[big], -e[:, None, None]) for s in stacks]
-        values[big] = np.ldexp(fn(*scaled), degree * e)
-    return values
 
 
 def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .baselines import check_nonnegative, soft_impute_with_count, srf_only, usvt
 from .linalg import numerical_rank
+from .sampling import validate_mask
 from .solver import SplicConfig, splic_complete
 
 METHOD_NAMES = ("splic", "srf", "soft-impute", "usvt")
@@ -58,13 +59,15 @@ def compare_methods(
     """Run all four completers on (x_corrupt, mask) and score against x_clean.
 
     tau defaults to 0.05 times the top singular value of the masked input;
-    tau and eta are checked before the first method runs.
+    the mask, tau and eta are checked before the first method runs.
     Ranks of the two solver-based methods are measured on their rank-
     reduced surface; baseline ranks are measured on the returned matrix.
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
+    x_corrupt = np.asarray(x_corrupt, dtype=np.float64)
+    anchor = validate_mask(mask, x_corrupt.shape)
     if tau is None:
-        masked = np.where(np.asarray(mask) == 1.0, np.asarray(x_corrupt), 0.0)
+        masked = np.where(anchor, x_corrupt, 0.0)
         tau = 0.05 * float(np.linalg.norm(masked, 2))
     check_nonnegative("tau", tau)
     check_nonnegative("eta", eta)

@@ -18,6 +18,13 @@ sigma * (1 - mu * exp(-sigma^2 / 2 delta^2)), a shrink of at most
 mu * sigma at every scale: large-delta blocks do strong global smoothing
 and the schedule then progressively freezes the retained structure.
 
+Every step is exactly homogeneous under power-of-two scaling, so each
+plane is solved in its unit frame: scaled, with its epsilon, by the 2^-e
+that puts its anchor peak max|x_Omega| in [1/2, 1), and scaled back at the
+end (the outputs, and the trace with its `tv` by 2^2e), before the clamp.
+That moves no bit wherever the caller's frame stays finite, and gives
+every finite input a result.
+
 The two-pass scheme (`splic_alternated`) completes the target pixels
 first, then swaps the roles of anchors and targets and completes again,
 so every pixel is re-estimated exactly once.
@@ -58,7 +65,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import as_stack, reconstruct, residual_ok, scaled_on_overflow, svd, warm_rank
+from .linalg import as_stack, reconstruct, residual_ok, svd, warm_rank
 from .sampling import complement, generate_mask, round_half_up, validate_mask
 from .srf import srf_gradient, srf_value_from_sigma
 from .tv import tv_gradient, tv_gradient_forward, tv_value
@@ -224,21 +231,17 @@ class CompletionResult:
 
 def relative_change(x_new, x_old):
     """Frobenius norm of the difference divided by m*n (not sqrt(m*n));
-    an array of one value per matrix for a (..., m, n) stack."""
+    an array of one value per matrix for a (..., m, n) stack.  Its domain
+    is inputs whose squares are finite."""
     a = np.asarray(x_new, dtype=np.float64)
     b = np.asarray(x_old, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m, n = a.shape[-2:]
-
-    def change(a, b):
-        # sqrt of a dot per matrix, as np.linalg.norm(., "fro") computes it
-        rows = (a - b).reshape(-1, m * n)
-        squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
-        return np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
-
-    # a sum of squares that overflows is taken again at a power-of-two scale
-    value = scaled_on_overflow(change, 1, a, b)
+    # sqrt of a dot per matrix, as np.linalg.norm(., "fro") computes it
+    rows = (a - b).reshape(-1, m * n)
+    squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
+    value = np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
     return float(value) if value.ndim == 0 else value
 
 
@@ -310,14 +313,17 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     """Complete the non-anchor pixels of `x` by progressive rank smoothing.
 
     `x` is an (m, n) image or a (k, m, n) stack of planes that share the
-    mask; the module docstring says how the planes of a stack retire.
-    For a stack, `completed` and `low_rank` are (k, m, n).  Either way
-    `trace` is one table of every plane's rows, told apart by its `plane`
-    column, `iterations` is its length and `converged` means every plane
-    converged.
+    mask; the module docstring says how the planes of a stack retire and
+    how each is solved in its unit frame.  For a stack, `completed` and
+    `low_rank` are (k, m, n).  Either way `trace` is one table of every
+    plane's rows, told apart by its `plane` column, `iterations` is its
+    length and `converged` means every plane converged.
 
-    A plane whose anchor-masked spectral norm is 0, or whose square
-    overflows, is rejected with a ValueError before the first step.
+    Every finite input gets a result, in the caller's frame: a value that
+    exceeds the largest float there reads inf.  A plane whose anchors are
+    all zero is rejected with a ValueError before the first step.  With
+    `clamp_output=False`, an anchor more than 2^1022 below its plane's
+    peak is subnormal in the unit frame and is not returned bit-exact.
     """
     planes, stacked = _image_stack(x)
     k, m, n = planes.shape
@@ -328,26 +334,24 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     q = warm_rank(r, m, n)
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 
+    # each plane's unit frame (see the module docstring); an epsilon that
+    # passes the largest float there reads inf
     current = np.where(anchor, planes, 0.0)
+    e = np.frexp(np.abs(current).max(axis=(-2, -1)))[1]
+    np.ldexp(current, -e[:, None, None], out=current)
+    with np.errstate(over="ignore"):
+        epsilon = np.ldexp(cfg.epsilon, -e)
     delta = np.linalg.norm(current, 2, axis=(-2, -1))
     if np.any(delta == 0.0):
         raise ValueError(
             "anchor-masked image is identically zero; delta cannot be initialized"
         )
-    # the rank step is preconditioned by delta^2, which must stay finite
-    with np.errstate(over="ignore"):
-        too_large = not np.all(np.isfinite(delta * delta))
-    if too_large:
-        raise ValueError(
-            "anchor-masked image is too large: its spectral norm must be below "
-            f"sqrt(max float) = {np.sqrt(np.finfo(np.float64).max):.3g}, "
-            f"got {delta.max():.3g}"
-        )
 
-    # `current`, `fixed` and `delta` hold the planes still running, whose
-    # indices are `live`; `final` collects each plane as it retires
+    # `current`, `fixed`, `delta` and `epsilon` hold the planes still
+    # running, whose indices are `live`; `final` collects each plane as it
+    # retires.  The first iterate never changes, so it serves as `fixed`.
     final = np.empty_like(planes)
-    fixed = planes
+    fixed = current
     live = np.arange(k)
     steps = []  # per step, a tuple of the trace's columns for the live planes
     converged = np.zeros(k, dtype=bool)
@@ -369,24 +373,32 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         # underflowing to 0: the rank term has vanished there, and
         # sigma = 0 still gives the surrogate's limit exp(-0) = 1, not 0 / 0
         delta = np.maximum(delta * cfg.rho, _DELTA_FLOOR)
-        done = block_rel <= cfg.epsilon
+        done = block_rel <= epsilon
         converged[live] = done
         retire = done | (t >= cfg.maxiter)
         if retire.any():
             final[live[retire]] = current[retire]
             keep = ~retire
             current, fixed, delta, live = current[keep], fixed[keep], delta[keep], live[keep]
+            epsilon = epsilon[keep]
             if basis is not None:
                 basis = basis[keep]
 
     low_rank = reconstruct(svd(final, rank=r))
+    trace = _concat(steps)
+    # back to the caller's frame; srf is scale-free and tv has degree 2
+    shift = e[trace.plane]
+    with np.errstate(over="ignore"):
+        for surface in (final, low_rank):
+            np.ldexp(surface, e[:, None, None], out=surface)
+        for column, degree in ((trace.delta, 1), (trace.rel_change, 1), (trace.tv, 2)):
+            np.ldexp(column, degree * shift, out=column)
     completed = final
     if cfg.clamp_output:
         completed = np.where(anchor, planes, np.clip(final, 0.0, 1.0))
 
     if not stacked:
         completed, low_rank = completed[0], low_rank[0]
-    trace = _concat(steps)
     return CompletionResult(
         completed=completed,
         low_rank=low_rank,

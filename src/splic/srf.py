@@ -7,7 +7,8 @@ matrix entries away from singular-value ties.
 
 `srf_value_from_sigma` and `srf_gradient` also take stacks, in numpy's
 gufunc style: sigma of shape (..., l) with delta a scalar or of shape
-(...), one delta per matrix.
+(...), one delta per matrix.  Their domain is sigma and delta whose
+squares are finite.
 """
 
 from __future__ import annotations
@@ -26,17 +27,6 @@ def _check_delta(delta) -> np.ndarray:
     return d[..., None]
 
 
-def _exponent(s, d) -> np.ndarray:
-    """-sigma^2 / (2 delta^2), from the squares where both are finite, else
-    from (sigma / delta)^2, as 2 delta^2 overflows above delta = 9.5e153;
-    below delta = 3e152 an overflowing sigma^2 gives exp(...) = 0 either way."""
-    s2, dd2 = s**2, 2.0 * d * d
-    z = -s2 / dd2
-    if d.max() > 3e152:
-        z = np.where(np.isfinite(s2) & np.isfinite(dd2), z, -0.5 * (s / d) ** 2)
-    return z
-
-
 def srf_value_from_sigma(sigma, delta):
     """Surrogate value from a vector of singular values; an array of
     values for a (..., l) stack of them."""
@@ -46,7 +36,7 @@ def srf_value_from_sigma(sigma, delta):
     # to -inf and the term is 0, the limit the surrogate tends to (delta^2
     # itself must not underflow, or sigma = 0 gives 0 / 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = s.shape[-1] - np.exp(_exponent(s, d)).sum(axis=-1)
+        value = s.shape[-1] - np.exp(-(s**2) / (2.0 * d * d)).sum(axis=-1)
     return float(value) if value.ndim == 0 else value
 
 
@@ -60,12 +50,10 @@ def srf_gradient(f: SvdFactors, delta: float) -> np.ndarray:
     """
     d = _check_delta(delta)
     s = f.sigma
-    # guards: for extreme delta the exponent over/underflows; wherever the
+    # guards: for a tiny delta the exponent over/underflows; wherever the
     # exponential is 0 the product is 0 regardless of sigma/delta^2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e = np.exp(_exponent(s, d))
+        e = np.exp(-(s**2) / (2.0 * d * d))
         raw = s / (d * d) * e
-        if d.max() > 1.3e154:  # delta^2 overflows
-            raw = np.where(np.isfinite(d * d), raw, s / d / d * e)
     g = np.where(e > 0.0, raw, 0.0)
     return (f.U * g[..., None, :]) @ np.swapaxes(f.V, -1, -2)

@@ -15,27 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_stack, scaled_on_overflow
+from .linalg import as_stack
 
 
 def tv_value(x):
     """Sum of half-squared forward differences along rows and columns.
-
-    A value whose sum overflows is summed again at a power-of-two scale,
-    so it is inf only where the true sum exceeds the largest float.
-    """
-    value = scaled_on_overflow(_half_squares, 2, as_stack(x))
-    return float(value) if value.ndim == 0 else value
-
-
-def _half_squares(arr):
+    Its domain is inputs whose squares are finite."""
+    arr = as_stack(x)
     axes = (-2, -1)
     # one difference array at a time, squared in place
     d = arr[..., :-1, :] - arr[..., 1:, :]
     vertical = np.square(d, out=d).sum(axis=axes)
     del d
     d = arr[..., :, :-1] - arr[..., :, 1:]
-    return 0.5 * (vertical + np.square(d, out=d).sum(axis=axes))
+    value = 0.5 * (vertical + np.square(d, out=d).sum(axis=axes))
+    return float(value) if value.ndim == 0 else value
 
 
 def tv_gradient(x) -> np.ndarray:

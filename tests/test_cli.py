@@ -739,7 +739,8 @@ def test_plan_groups_keep_name_order_within_the_budget(tmp_path):
         "cut.pgm": b"P5 24",
     }
     for name, data in headers.items():
-        (tmp_path / name).write_bytes(data)
+        # padded to b.ppm's samples at 1 byte each, so every file could hold its own
+        (tmp_path / name).write_bytes(data + bytes(3 * 30 * 32))
     files = sorted(tmp_path.iterdir())
     groups = [[p.name for p in group] for group in _plan_groups(files)]
     # budget: b.ppm's 3 * 30 * 32 plane-pixels, 6 planes of 20 x 24
@@ -747,6 +748,20 @@ def test_plan_groups_keep_name_order_within_the_budget(tmp_path):
         ["a0.pgm", "a1.ppm", "a2.pgm", "a4.pgm"], ["a3.pgm"],
         ["a5.ppm", "a6.pgm", "a7.pgm"], ["b.ppm"], ["bad.pgm"], ["cut.pgm"],
     ]
+
+
+def test_plan_groups_ignore_a_header_the_file_cannot_hold(tmp_path):
+    # every sample takes at least 1 byte, so a 25-byte file cannot hold
+    # 70000 x 70000 of them; its header once set the budget, and six 32²
+    # files planned as one stack of six instead of six stacks of one
+    for i in range(6):
+        write_image(make_test_image(i % 4, 32), tmp_path / f"img{i}.pgm")
+    assert [len(g) for g in _plan_groups(sorted(tmp_path.iterdir()))] == [1] * 6
+    (tmp_path / "huge.pgm").write_bytes(b"P2 70000 70000 255\n1 2 3\n")
+    assert (tmp_path / "huge.pgm").stat().st_size == 25
+    groups = _plan_groups(sorted(tmp_path.iterdir()))
+    assert [len(g) for g in groups] == [1] * 7
+    assert [tmp_path / "huge.pgm"] in groups
 
 
 def test_defend_batch_groups_byte_identical_to_per_file_runs(tmp_path):
@@ -784,8 +799,8 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
     code, _, clean = _batch_outputs(in_dir, ref_dir, tmp_path / "clean", "--maxiter", "21")
     assert code == 0
     # same shape as their neighbours, so both join a group: a corrupt
-    # payload and an all-black image
-    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 200 + b"x\n")
+    # payload, long enough to hold 24 x 20 samples, and an all-black image
+    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 300 + b"x\n")
     write_image(np.zeros((20, 24)), in_dir / "img2b.pgm")
     write_image(np.zeros((20, 24)), ref_dir / "img2b.pgm")
     (ref_dir / "img1b.pgm").write_bytes((ref_dir / "img0.pgm").read_bytes())

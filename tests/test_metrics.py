@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import splic.metrics as metrics_module
 from splic.metrics import (
     METHOD_NAMES,
     compare_methods,
@@ -101,6 +102,21 @@ def test_compare_methods_record_contract():
         assert math.isfinite(rec.seconds) and rec.seconds >= 0.0
         assert rec.iters >= 1
         assert rec.rank >= 0
+
+
+def test_compare_methods_checks_the_mask_before_any_solve(monkeypatch):
+    # a mask one column too wide reached np.where first, whose broadcast
+    # error named no mask; now validate_mask rejects it before a method runs
+    def solve(*args):
+        raise AssertionError("a method ran")
+
+    for name in ("splic_complete", "srf_only", "soft_impute_with_count", "usvt"):
+        monkeypatch.setattr(metrics_module, name, solve)
+    clean = balanced_low_rank(16, 16, 2, 0)
+    with pytest.raises(ValueError, match=r"mask shape \(16, 17\) != image shape \(16, 16\)"):
+        compare_methods(clean, clean, np.ones((16, 17)), SplicConfig())
+    with pytest.raises(ValueError, match="mask entries must all be 0 or 1"):
+        compare_methods(clean, clean, np.full((16, 16), 0.5), SplicConfig(), tau=0.1)
 
 
 def test_comparison_rows_serialize_inf_as_literal():

@@ -32,19 +32,6 @@ def test_relative_change_hand_values():
     assert relative_change(np.ones((3, 3)), np.zeros((3, 3))) == pytest.approx(1 / 3)
 
 
-def test_relative_change_near_the_largest_float_is_exact_and_silent(rng):
-    # the sum of squares overflows from 2^510 up; the change is taken again
-    # at a power-of-two scale, so it equals the small-scale one scaled back
-    a, b = rng.uniform(-1, 1, size=(2, 3, 16, 16))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for k in (0, 520, 1000):
-            big = relative_change(np.ldexp(a, k), np.ldexp(b, k))
-            assert np.array_equal(big, np.ldexp(relative_change(a, b), k))
-            assert relative_change(np.ldexp(a[0], k), np.ldexp(b[0], k)) == big[0]
-            assert np.all(np.isfinite(big))
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="rho"):
         SplicConfig(rho=1.5)
@@ -165,27 +152,36 @@ def test_inputs_near_the_smallest_floats_finish_silently(side):
                     assert np.all(np.isfinite(res.low_rank)), (scale, tv_mode)
 
 
-def test_too_large_image_rejected_before_the_first_step():
-    # delta^2 overflowed at 64² x 1e155: the solve leaked RuntimeWarnings
-    # and raised "non-finite values" mid-solve from `tv_value`
+def test_large_images_solve_finite_and_silent():
+    # delta^2 overflows in the caller's frame from 64² x 1e155 up; in the
+    # unit frame every plane solves like one whose anchor peak lies in
+    # [1/2, 1), and only values past the largest float read inf
     x = make_test_image(0, 64)
     mask = generate_mask(64, 64, 0.5, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for big in (x * 1e155, np.stack([x, x * 1e155])):
-            with pytest.raises(ValueError, match=r"too large: its spectral norm must be below"):
-                splic_complete(big, mask, SplicConfig())
-        res = splic_complete(x * 1e150, mask, SplicConfig(clamp_output=False))
-    assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
+    anchor = mask == 1.0
+    cfg = SplicConfig(clamp_output=False)
+    for big in (x * 1e155, np.stack([x, x * 1e155]), x * 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = splic_complete(big, mask, cfg)
+        assert np.all(np.isfinite(res.completed)) and np.all(np.isfinite(res.low_rank))
+        assert np.array_equal(res.completed[..., anchor], big[..., anchor])
+        trace = res.trace
+        assert np.all(np.isfinite(trace.rel_change)) and np.all(np.isfinite(trace.srf))
+        # the first delta, the anchors' spectral norm, is 16 times their
+        # peak here; it passes the largest float only at 1.7e308
+        assert np.all(np.isfinite(trace.delta)) == (big.max() < 1e300)
 
 
 @pytest.mark.parametrize("side, scale", [(64, 5.6e152), (64, 8e152), (256, 1.8e152)])
 def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale):
-    # the trace's sums of squares overflowed here: RuntimeWarnings leaked
-    # and `tv` read inf where the true sum was finite; `srf` read NaN where
-    # 2 delta^2 overflowed
+    # at these scales the trace's sums of squares and 2 delta^2 overflow in
+    # the caller's frame; the steps run in the unit frame, and the trace
+    # holds their values scaled back by 2^e (`tv` by 2^2e), inf only where
+    # that passes the largest float
     x = add_uniform_noise(make_test_image(2, side), 0.05, 2) * scale
     mask = generate_mask(side, side, 0.5, 1)
+    e = np.frexp(np.abs(x[mask == 1.0]).max())[1]
     biggest = np.finfo(np.float64).max
     for tv_mode in ("exact", "paper"):
         with warnings.catch_warnings(), recorded_steps() as frames:
@@ -193,13 +189,47 @@ def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale)
             res = splic_complete(x, mask, SplicConfig(tv_mode=tv_mode, maxiter=28))
         trace = res.trace
         assert np.all(np.isfinite(trace.rel_change)) and np.all(np.isfinite(trace.srf)), tv_mode
-        for t, tv in zip(trace.t.tolist(), trace.tv.tolist()):
-            # tv is homogeneous of degree 2, and scaling by 2^-600 is exact
-            small = tv_value(np.ldexp(frames[t - 1][0], -600))
-            if small > np.ldexp(biggest, -1200):
+        assert np.abs(frames[0]).max() < 2.0
+        start = np.ldexp(np.where(mask == 1.0, x, 0.0), -e)
+        ends = [start] + [frame[0] for frame in frames]
+        for t, rel, tv in zip(trace.t.tolist(), trace.rel_change.tolist(), trace.tv.tolist()):
+            assert rel == np.ldexp(relative_change(ends[t], ends[t - 1]), e), (tv_mode, t)
+            small = tv_value(ends[t])
+            if small > np.ldexp(biggest, -2 * e):
                 assert tv == np.inf, (tv_mode, t, tv)
             else:
-                assert tv == pytest.approx(np.ldexp(small, 1200), rel=1e-12), (tv_mode, t, tv)
+                assert tv == np.ldexp(small, 2 * e), (tv_mode, t, tv)
+
+
+@pytest.mark.parametrize("tv_mode", ["exact", "paper"])
+def test_solve_is_homogeneous_under_power_of_two_scaling(tv_mode):
+    # scaling the input and epsilon by 2^k scales every output bit for bit:
+    # by 2^k, and `tv` by 2^2k; in the caller's frame LAPACK rescales
+    # internally near 2^+-500, and delta^2 overflows from about 2^510
+    x = add_uniform_noise(make_test_image(1, 48), 0.05, 1)
+    mask = generate_mask(48, 48, 0.5, 3)
+    cfg = SplicConfig(tv_mode=tv_mode, clamp_output=False)
+    # two planes with different anchor peaks, so different unit frames
+    for image in (x, np.stack([x, 0.3 * x[::-1]])):
+        base = splic_complete(image, mask, cfg)
+        for k in (1, -1, 20, -20, 600, -600, 1000, -1000):
+            scaled = np.ldexp(image, k)
+            assert np.array_equal(np.ldexp(scaled, -k), image)
+            scaled_cfg = dataclasses.replace(cfg, epsilon=np.ldexp(cfg.epsilon, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = splic_complete(scaled, mask, scaled_cfg)
+            with np.errstate(over="ignore"):
+                tv = np.ldexp(base.trace.tv, 2 * k)
+            assert np.array_equal(res.completed, np.ldexp(base.completed, k)), k
+            assert np.array_equal(res.low_rank, np.ldexp(base.low_rank, k)), k
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
+            for name in ("plane", "t", "srf"):
+                assert np.array_equal(getattr(res.trace, name), getattr(base.trace, name))
+            for name in ("delta", "rel_change"):
+                expected = np.ldexp(getattr(base.trace, name), k)
+                assert np.array_equal(getattr(res.trace, name), expected), (k, name)
+            assert np.array_equal(res.trace.tv, tv), k
 
 
 def test_complement_of_full_mask_invalid_for_solving(rng):
