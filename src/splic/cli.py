@@ -30,7 +30,7 @@ from .image_io import (
 )
 from .linalg import numerical_rank
 from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, comparison_rows, psnr
-from .sampling import generate_mask
+from .sampling import generate_mask, validate_mask
 from .solver import FIELD_TYPES, SplicConfig, config_key, splic_alternated, splic_complete
 from .testimages import add_uniform_noise, check_amplitude
 
@@ -67,7 +67,6 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
         metavar="AMP",
         help="corrupt the input with uniform noise of this amplitude first",
     )
-    parser.add_argument("--strict", action="store_true", help="exit 3 if not converged")
 
 
 def _build_config(args) -> SplicConfig:
@@ -142,14 +141,17 @@ def _finish(args, res, cfg) -> int:
     return _exit_code(args, res.converged)
 
 
+def _mask(args, cfg, shape) -> np.ndarray:
+    """The --mask file's anchors, checked to be of `shape`, else cfg's random mask."""
+    if args.mask:
+        return validate_mask(read_mask(args.mask), shape)
+    return generate_mask(*shape, cfg.anchor_fraction, cfg.seed)
+
+
 def cmd_complete(args) -> int:
     cfg = _build_config(args)
     image = _read_input(args, cfg)
-    m, n = image.shape[-2:]
-    if args.mask:
-        mask = read_mask(args.mask)
-    else:
-        mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
+    mask = _mask(args, cfg, image.shape[-2:])
     return _finish(args, splic_complete(image, mask, cfg), cfg)
 
 
@@ -417,11 +419,12 @@ def cmd_rank_sweep(args) -> int:
     if not ranks or any(r < 1 or r > min(m, n) for r in ranks):
         raise ValueError(f"ranks must lie in [1, {min(m, n)}]: {args.ranks!r}")
     reference = _read_reference(args.reference, image) if args.reference else image
-    mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
+    mask = _mask(args, cfg, image.shape)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     lines = ["rank,psnr_db,numerical_rank,converged"]
+    converged = True
     for r in ranks:
         run_cfg = dataclasses.replace(cfg, r=r)
         res = splic_complete(image, mask, run_cfg)
@@ -429,8 +432,9 @@ def cmd_rank_sweep(args) -> int:
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
         _write_output(res.low_rank, out_dir / f"{stem}_r{r}.pgm", run_cfg)
+        converged &= res.converged
     atomic_write(args.csv, ("\n".join(lines) + "\n").encode())
-    return EXIT_OK
+    return _exit_code(args, converged)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--trace", help="write the convergence trace CSV here")
     _solver_flags(p)
+    p.add_argument("--strict", action="store_true", help="exit 3 if not converged")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("defend", help="two-pass completion re-estimating every pixel")
@@ -456,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="summary CSV path (batch mode)")
     p.add_argument("--jobs", type=int, default=1)
     _solver_flags(p, with_mask=False)
+    p.add_argument("--strict", action="store_true", help="exit 3 if not converged")
     p.set_defaults(func=cmd_defend)
 
     p = sub.add_parser("compare", help="run all methods across anchor fractions")
@@ -480,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--csv", required=True)
     _solver_flags(p)
+    p.add_argument("--strict", action="store_true", help="exit 3 if not converged")
     p.set_defaults(func=cmd_rank_sweep)
 
     return parser

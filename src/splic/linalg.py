@@ -58,7 +58,8 @@ class SvdFactors:
     sigma is non-increasing and non-negative; U and V have orthonormal
     columns and reconstruct the source (after `top(r)`, its best rank-r
     approximation) as U @ diag(sigma) @ V.T.  Factors from the rank path
-    meet these contracts to the accuracy stated in `svd`.
+    meet these contracts to the accuracy stated in `svd`, and each
+    triplet has the sign LAPACK gives it, on which no contract depends.
     """
 
     U: np.ndarray
@@ -71,27 +72,18 @@ class SvdFactors:
 
     def top(self, r: int) -> "SvdFactors":
         """The leading r triplets: U[..., :r], sigma[..., :r], V[..., :r]."""
-        return SvdFactors(
-            U=self.U[..., :r], sigma=self.sigma[..., :r], V=self.V[..., :r]
-        )
-
-
-def _sign_fixed(u, sigma, v) -> SvdFactors:
-    """Flip each triplet so the largest-|.| entry of its U column is >= 0."""
-    m, l = u.shape[-2:]
-    flat = u.reshape(-1, m, l)
-    pivot = np.abs(flat).argmax(axis=1)
-    lead = flat[np.arange(flat.shape[0])[:, None], pivot, np.arange(l)]
-    signs = np.where(lead < 0.0, -1.0, 1.0).reshape(u.shape[:-2] + (1, l))
-    return SvdFactors(U=u * signs, sigma=sigma, V=v * signs)
+        return SvdFactors(self.U[..., :r], self.sigma[..., :r], self.V[..., :r])
 
 
 def svd(x, rank: int | None = None, start=None) -> SvdFactors:
-    """Thin SVD with a fixed sign convention for reproducibility.
+    """Thin SVD, each triplet with the sign LAPACK (`gesdd`, `eigh`) gives.
 
-    Each left singular vector is flipped so that its largest-magnitude
-    entry is non-negative (the matching right vector is flipped with it),
-    which makes the factors deterministic across runs.
+    No caller depends on that sign: negating a triplet's U and V columns
+    together leaves sigma, U @ diag(sigma) @ V.T and the `residual_ok`
+    norm unchanged, and qr(X^T X B) gives the same Q bit for bit whatever
+    the signs of B's columns, since a Householder reflector is unchanged
+    when its column is negated.  The factors are deterministic for one
+    numpy/BLAS build and thread count.
 
     rank=None takes the full spectrum of one matrix from LAPACK.  rank=r
     returns only the leading r triplets, read off the symmetric
@@ -129,7 +121,7 @@ def svd(x, rank: int | None = None, start=None) -> SvdFactors:
         if start is not None:
             raise ValueError("start needs a rank")
         u, s, vt = np.linalg.svd(as_matrix(x), full_matrices=False)
-        return _sign_fixed(u, s, vt.T)
+        return SvdFactors(U=u, sigma=s, V=vt.T)
     arr = _stack_shaped(x, "matrix")
     m, n = arr.shape[-2:]
     if not 1 <= rank <= min(m, n):
@@ -143,11 +135,9 @@ def svd(x, rank: int | None = None, start=None) -> SvdFactors:
     if start is not None:
         return _warm_top(a, scale, rank, start)
     tall = m >= n
-    if not tall:
-        a = np.swapaxes(a, -1, -2)
-    p, s, q = _gram_top(a, rank)
+    p, s, q = _gram_top(a if tall else np.swapaxes(a, -1, -2), rank)
     u, v = (p, q) if tall else (q, p)
-    return _sign_fixed(u, scale[..., 0] * s, v)
+    return SvdFactors(U=u, sigma=scale[..., 0] * s, V=v)
 
 
 def _gram_top(a, rank):
@@ -163,7 +153,8 @@ def _gram_top(a, rank):
         out=np.zeros(a.shape[:-1] + (rank,)),
         where=s[..., None, :] > 0.0,
     )
-    return p, s, v
+    # C-ordered: some numpy versions multiply a reversed view outside BLAS
+    return p, s, np.ascontiguousarray(v)
 
 
 def _warm_top(a, scale, rank, start) -> SvdFactors:
@@ -177,7 +168,7 @@ def _warm_top(a, scale, rank, start) -> SvdFactors:
     # span(A^T qr(A B)) = span(A^T A B), so one QR gives the power step's basis
     v = np.linalg.qr(np.swapaxes(a, -1, -2) @ (a @ b))[0]
     u, s, z = _gram_top(a @ v, rank)
-    return _sign_fixed(u, scale[..., 0] * s, v @ z)
+    return SvdFactors(U=u, sigma=scale[..., 0] * s, V=v @ z)
 
 
 # callers of the warm path keep this many right vectors past the triplets

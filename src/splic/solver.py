@@ -225,8 +225,11 @@ class CompletionResult:
     completed: np.ndarray
     low_rank: np.ndarray
     trace: ConvergenceTrace
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def relative_change(x_new, x_old):
@@ -403,7 +406,6 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         completed=completed,
         low_rank=low_rank,
         trace=trace,
-        iterations=len(trace),
         converged=bool(converged.all()),
     )
 
@@ -430,6 +432,5 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
         completed=second.completed,
         low_rank=second.low_rank,
         trace=_concat([first.trace.columns(), second.trace.columns()]),
-        iterations=first.iterations + second.iterations,
         converged=first.converged and second.converged,
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splic.solver as solver_module
-from splic.linalg import _sign_fixed, svd
+from splic.linalg import SvdFactors, svd
 
 
 def finite_difference_gradient(fn, x, step=1e-5):
@@ -77,4 +77,12 @@ def two_qr_svd(x, rank=None, start=None):
     q = np.linalg.qr(a @ start)[0]
     v = np.linalg.qr(np.swapaxes(a, -1, -2) @ q)[0]
     w, s, zt = np.linalg.svd(a @ v, full_matrices=False)
-    return _sign_fixed(w, scale[..., 0] * s, v @ np.swapaxes(zt, -1, -2))
+    return SvdFactors(U=w, sigma=scale[..., 0] * s, V=v @ np.swapaxes(zt, -1, -2))
+
+
+def signs_matched(got, want):
+    """`got` with each triplet negated where its U column points away
+    from `want`'s (a negative sum(got.U * want.U) over the column), so
+    factors whose signs LAPACK chose apart compare entry by entry."""
+    signs = np.where(np.sum(got.U * want.U, axis=-2) < 0.0, -1.0, 1.0)[..., None, :]
+    return SvdFactors(U=got.U * signs, sigma=got.sigma, V=got.V * signs)

@@ -419,6 +419,70 @@ def test_rank_sweep_rejects_rank_zero(tmp_path, scene_file):
     assert code == 2
 
 
+def test_rank_sweep_solves_with_the_mask_file(tmp_path, scene_file):
+    # --mask was accepted and ignored: the sweep drew its own random mask
+    mask = generate_mask(32, 32, 0.3, 11)
+    mask_path = tmp_path / "m.pgm"
+    write_image(mask, mask_path)
+    csv_path = tmp_path / "c.csv"
+    code, _ = run_cli(
+        "rank-sweep", "--input", scene_file, "--ranks", "6", "--mask", mask_path,
+        "--output-dir", tmp_path / "d", "--csv", csv_path,
+    )
+    assert code == 0
+    image = read_image(scene_file)
+    res = splic_complete(image, mask, SplicConfig(r=6))
+    quality = psnr(np.clip(res.low_rank, 0.0, 1.0), image)
+    rank = numerical_rank(res.low_rank, metrics_module.RANK_TOL)
+    row = f"6,{quality!r},{rank},{int(res.converged)}"
+    assert csv_path.read_text().splitlines()[1] == row
+
+
+@pytest.mark.parametrize(
+    "mask, message",
+    [(None, "No such file"), ((16, 32), "mask shape (16, 32) != image shape (32, 32)")],
+    ids=["missing", "shape"],
+)
+def test_rank_sweep_checks_the_mask_file_before_any_solve(
+    tmp_path, scene_file, monkeypatch, mask, message
+):
+    mask_path = tmp_path / "m.pgm"
+    if mask is not None:
+        write_image(generate_mask(*mask, 0.5, 0), mask_path)
+    solves = _count_calls(monkeypatch, "splic_complete", cli_module)
+    code, err = run_cli(
+        "rank-sweep", "--input", scene_file, "--ranks", "4", "--mask", mask_path,
+        "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
+    )
+    assert code == 2 and message in err
+    assert solves == []
+    assert not (tmp_path / "d").exists() and not (tmp_path / "c.csv").exists()
+
+
+def test_rank_sweep_strict_exits_3_after_every_output(tmp_path, scene_file):
+    # --strict was accepted and ignored: the sweep exited 0
+    csv_path = tmp_path / "c.csv"
+    code, err = run_cli(
+        "rank-sweep", "--input", scene_file, "--ranks", "4,8", "--maxiter", "1",
+        "--strict", "--output-dir", tmp_path / "d", "--csv", csv_path,
+    )
+    assert code == 3 and "converge" in err
+    assert [row["converged"] for row in csv.DictReader(csv_path.open())] == ["0", "0"]
+    assert (tmp_path / "d" / "scene_r4.pgm").exists()
+    assert (tmp_path / "d" / "scene_r8.pgm").exists()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_strict_is_a_flag_of_the_commands_that_read_it(command):
+    # compare took --strict and never read it
+    if command == "compare":
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            _parsed_args(command, "--strict")
+        assert exc.value.code == 2
+    else:
+        assert _parsed_args(command, "--strict").strict
+
+
 def test_add_uniform_noise_flag_changes_input_deterministically(tmp_path, scene_file):
     outs = []
     for name in ("n1.pgm", "n2.pgm"):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import splic.baselines as baselines_module
 import splic.solver as solver_module
 from conftest import assert_traces_equal, exact_svd, recorded_steps, two_qr_svd
 from splic.baselines import soft_impute_with_count, soft_threshold_singular, usvt
@@ -755,6 +756,44 @@ def test_warm_stack_alternated_equals_solo():
     cfg = SplicConfig(seed=3)
     solos = [splic_alternated(plane, cfg) for plane in planes]
     _assert_stack_equals_solo(splic_alternated(planes, cfg), solos)
+
+
+@pytest.mark.parametrize("side", [24, 40, 64, 96])
+def test_outputs_do_not_depend_on_triplet_signs(side, monkeypatch):
+    # `svd` fixes no sign: negating random triplets (U and V columns
+    # together) must leave every output bit for bit as it is, on the exact
+    # rank path (24^2, 40^2) and on the warm path (64^2, 96^2)
+    planes = _noisy_planes((side, side), side)
+    mask = generate_mask(side, side, 0.5, side)
+    tau = 0.05 * float(np.linalg.norm(np.where(mask == 1.0, planes[2], 0.0), 2))
+    rng = np.random.default_rng(side)
+    warm_calls = []
+
+    def flipped(x, rank=None, start=None):
+        f = svd(x, rank=rank, start=start)
+        warm_calls.append(start is not None)
+        signs = rng.choice([-1.0, 1.0], size=f.sigma.shape)[..., None, :]
+        f.U[...] *= signs  # in place, so each factor keeps its memory layout
+        f.V[...] *= signs
+        return f
+
+    def solves():
+        for tv_mode in ("exact", "paper"):
+            cfg = SplicConfig(tv_mode=tv_mode, seed=side)
+            yield splic_complete(planes, mask, cfg)
+            yield splic_alternated(planes, cfg)
+
+    want = list(solves())
+    want_z, want_count = soft_impute_with_count(planes[2], mask, tau)
+    monkeypatch.setattr(solver_module, "svd", flipped)
+    monkeypatch.setattr(baselines_module, "svd", flipped)
+    for got, ref in zip(solves(), want):
+        assert np.array_equal(got.completed, ref.completed)
+        assert np.array_equal(got.low_rank, ref.low_rank)
+        assert_traces_equal(got.trace, ref.trace)
+    assert any(warm_calls) == (side >= 64)
+    z, count = soft_impute_with_count(planes[2], mask, tau)
+    assert count == want_count and np.array_equal(z, want_z)
 
 
 def test_warm_fallback_takes_the_exact_path_per_plane(monkeypatch):
