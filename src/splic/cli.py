@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -241,59 +240,51 @@ def _worker_pool():
 def _solve_groups(groups, process, jobs) -> list:
     """`[process(group) for group in groups]`, on up to `jobs` workers.
 
-    The calling thread is worker 0: it claims groups in order and calls
-    `process(group)`.  Each of the other `min(jobs, len(groups)) - 1`
-    workers is a feeder thread that owns a one-process pool; once that
-    process has imported splic, the feeder claims groups from the same
-    sequence and calls `process(group, pool)`, so only the solve leaves
-    this process.  A feeder whose process dies has its group processed
-    here and claims no more.  `--jobs 1` starts no thread and no process.
+    The calling thread is worker 0.  Each of the other
+    `min(jobs, len(groups)) - 1` workers is a feeder thread that owns a
+    one-process pool; once that process has imported splic, the feeder
+    runs the same claim loop as the calling thread, with its pool, so only
+    the solve leaves this process.  Groups are claimed in order from one
+    queue.  A feeder whose process dies has its group processed here and
+    claims no more.  `--jobs 1` starts no thread and no process.
     """
-    results = [None] * len(groups)
-    claims = enumerate(groups)
-    lock = threading.Lock()
-
-    def claimed():
-        while True:
-            with lock:
-                item = next(claims, None)
-            if item is None:
-                return
-            yield item
-
     workers = min(jobs, len(groups))
-    feeders = []
-    failures = []
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
+    if workers < 2:
+        return [process(group) for group in groups]
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-        def feed(pool):
+    results = [None] * len(groups)
+    claims = queue.SimpleQueue()
+    for claim in enumerate(groups):
+        claims.put(claim)
+
+    def run(pool=None):
+        while True:
             try:
-                with pool:
-                    try:  # a no-op round trip: the worker has imported splic
-                        pool.submit(SplicConfig).result()
-                    except BrokenProcessPool:
-                        return
-                    for i, group in claimed():
-                        try:
-                            results[i] = process(group, pool)
-                        except BrokenProcessPool:  # the worker died: process its group here
-                            results[i] = process(group)
-                            return
-            except BaseException as exc:  # raised in the calling thread below
-                failures.append(exc)
+                i, group = claims.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = process(group, pool)
+            except BrokenProcessPool:  # the worker died: process its group here
+                results[i] = process(group)
+                return
 
-    try:
-        for _ in range(workers - 1):
-            feeders.append(threading.Thread(target=feed, args=(_worker_pool(),)))
-            feeders[-1].start()
-        for i, group in claimed():
-            results[i] = process(group)
-    finally:
-        for feeder in feeders:
-            feeder.join()
-    if failures:
-        raise failures[0]
+    def feed(pool):
+        with pool:
+            try:  # a no-op round trip: the worker has imported splic
+                pool.submit(SplicConfig).result()
+            except BrokenProcessPool:
+                return
+            run(pool)
+
+    with ThreadPoolExecutor(workers - 1) as executor:
+        feeders = [executor.submit(feed, _worker_pool()) for _ in range(workers - 1)]
+        run()
+    for feeder in feeders:  # a feeder's error, raised once every feeder has stopped
+        feeder.result()
     return results
 
 
@@ -421,7 +412,6 @@ def cmd_rank_sweep(args) -> int:
     reference = _read_reference(args.reference, image) if args.reference else image
     mask = _mask(args, cfg, image.shape)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     lines = ["rank,psnr_db,numerical_rank,converged"]
     converged = True

@@ -203,10 +203,11 @@ def reconstruct(f: SvdFactors, sigma=None) -> np.ndarray:
 
 
 def numerical_rank(x, tol: float) -> int:
-    """Number of singular values exceeding tol times the largest one."""
+    """Number of singular values exceeding tol times the largest one; only
+    the values are computed, not U or V."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    s = svd(x).sigma
+    s = np.linalg.svd(as_matrix(x), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

@@ -13,7 +13,7 @@ from splic.baselines import (
     usvt,
 )
 from splic.linalg import numerical_rank, svd
-from splic.metrics import psnr
+from splic.metrics import RANK_TOL, psnr
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig, relative_change, splic_complete
 from splic.testimages import add_uniform_noise, make_test_image
@@ -252,6 +252,24 @@ def test_usvt_rank_two_instance_rank_capped():
     mask = generate_mask(64, 64, 0.5, 11)
     out = usvt(truth, mask, 0.01)
     assert numerical_rank(out, 1e-6) <= 10  # 2 plus threshold/clipping spillover
+
+
+def test_numerical_rank_counts_as_the_full_svd_does():
+    # numerical_rank reads values only (LAPACK without U and V); its count
+    # matches the one read off the full path's sigma on each rank surface
+    scene = add_uniform_noise(make_test_image(1, 48), 0.05, 3)
+    mask = generate_mask(48, 48, 0.5, 4)
+    surfaces = {
+        "low_rank": splic_complete(scene, mask, SplicConfig(r=6)).low_rank,
+        "soft_impute": soft_impute_with_count(scene, mask, _default_tau(scene, mask))[0],
+        "usvt": usvt(scene, mask, 0.01),
+        "zero": np.zeros((48, 48)),
+    }
+    for name, x in surfaces.items():
+        s = svd(x).sigma
+        full = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+        assert numerical_rank(x, RANK_TOL) == full, name
+    assert numerical_rank(surfaces["low_rank"], RANK_TOL) == 6
 
 
 @pytest.mark.xfail(

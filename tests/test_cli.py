@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import sys
+import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr
@@ -459,6 +460,29 @@ def test_rank_sweep_checks_the_mask_file_before_any_solve(
     assert not (tmp_path / "d").exists() and not (tmp_path / "c.csv").exists()
 
 
+def test_rank_sweep_writes_nothing_when_the_solve_is_rejected(tmp_path, scene_file):
+    # --output-dir was made before the solver rejected an all-zero anchor set
+    mask_path = tmp_path / "m.pgm"
+    write_image(np.zeros((32, 32)), mask_path)
+    code, err = run_cli(
+        "rank-sweep", "--input", scene_file, "--ranks", "4", "--mask", mask_path,
+        "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
+    )
+    assert code == 2 and "identically zero" in err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "c.csv").exists()
+
+
+def test_rank_sweep_output_dir_that_is_a_file_writes_nothing(tmp_path, scene_file):
+    (tmp_path / "d").write_bytes(b"")
+    code, err = run_cli(
+        "rank-sweep", "--input", scene_file, "--ranks", "4",
+        "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
+    )
+    assert code == 2 and "error:" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "scene.pgm"]
+    assert (tmp_path / "d").read_bytes() == b""
+
+
 def test_rank_sweep_strict_exits_3_after_every_output(tmp_path, scene_file):
     # --strict was accepted and ignored: the sweep exited 0
     csv_path = tmp_path / "c.csv"
@@ -607,11 +631,13 @@ class InProcessPool:
     def __init__(self, dies_at=None):
         self.submitted = []
         self.dies_at = dies_at
+        self.closed = False
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.closed = True
         return False
 
     def submit(self, fn, *args):
@@ -667,6 +693,47 @@ def test_solve_groups_processes_each_group_once_under_contention(monkeypatch):
     assert len(pools) == 7
     assert results == [2 * g for g in range(300)]
     assert sorted(seen) == list(range(300))
+
+
+def test_solve_groups_raises_a_feeder_error_once_every_feeder_has_stopped(monkeypatch):
+    pools = _patch_worker_pool(monkeypatch)
+    fed, both_fed, seen = [], threading.Event(), []
+
+    def process(group, pool=None):
+        seen.append(group)
+        if pool is None:  # the calling thread waits until both feeders claimed
+            assert both_fed.wait(10)
+            return group
+        fed.append((pool, threading.current_thread()))
+        if len(fed) == 2:
+            both_fed.set()
+        raise RuntimeError(f"feeder failed on {group}")
+
+    with pytest.raises(RuntimeError, match="feeder failed"):
+        cli_module._solve_groups(list(range(6)), process, jobs=3)
+    assert len(pools) == 2 and all(pool.closed for pool in pools)
+    # each feeder stopped after its first claim, before the error was raised
+    assert sorted(map(id, pools)) == sorted(id(pool) for pool, _ in fed)
+    assert not any(thread.is_alive() for _, thread in fed)
+    assert sorted(seen) == list(range(6))
+
+
+def test_solve_groups_raises_the_calling_threads_error(monkeypatch):
+    pools = _patch_worker_pool(monkeypatch)
+    seen, caller_claimed = [], threading.Event()
+
+    def process(group, pool=None):
+        seen.append(group)
+        if pool is None:
+            caller_claimed.set()
+            raise RuntimeError("caller failed")
+        assert caller_claimed.wait(10)  # the feeders wait for the caller's claim
+        return group
+
+    with pytest.raises(RuntimeError, match="caller failed"):
+        cli_module._solve_groups(list(range(6)), process, jobs=3)
+    assert len(pools) == 2 and all(pool.closed for pool in pools)
+    assert sorted(seen) == list(range(6))
 
 
 @pytest.mark.parametrize("dies_at", [0, 1], ids=["before-ready", "at-first-solve"])
