@@ -217,13 +217,18 @@ def _plan_groups(files) -> list[list[Path]]:
 
 def _worker_pool():
     """A pool of one worker process, started by a forkserver that preloads
-    numpy and splic, or by spawn where there is no forkserver; never by
-    fork, since the calling process may be inside BLAS on another thread.
+    numpy and `splic.solver`, or by spawn where there is no forkserver;
+    never by fork, since the calling process may be inside BLAS on another
+    thread.
 
-    numpy is named on its own because the server cannot import splic when
-    splic is on `sys.path` only (the server starts from the environment,
-    and Python 3.11 ignores the `sys_path` it is given); a worker then
-    imports just splic, in about 0.07 s instead of 0.15 s.
+    A worker only unpickles `splic_alternated` and `SplicConfig`, which
+    both live in `splic.solver`.  The server does not preload `splic.cli`:
+    under `python -m splic.cli` each worker runs the main module again, and
+    finding it imported already makes runpy warn on stderr.  numpy is named
+    on its own because the server cannot import splic when splic is on
+    `sys.path` only (the server starts from the environment, and Python
+    3.11 ignores the `sys_path` it is given); a worker then imports just
+    splic, in about 0.07 s instead of 0.15 s.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -233,7 +238,7 @@ def _worker_pool():
     except ValueError:
         context = multiprocessing.get_context("spawn")
     else:
-        context.set_forkserver_preload(["numpy", "splic.cli"])
+        context.set_forkserver_preload(["numpy", "splic.solver"])
     return ProcessPoolExecutor(max_workers=1, mp_context=context)
 
 

@@ -4,9 +4,13 @@ Scenes are composed from smooth separable pieces (ramps, Gaussian bumps,
 soft-edged rectangles) and their spectrum is then remapped onto a fixed
 geometric profile while keeping the scene's own singular vectors.  The
 result looks like a soft natural image but has an exactly known low rank
-and a gap-free, quickly decaying spectrum, which makes solver behaviour
-reproducible across the corpus.  Everything is a pure function of
-(index, shape), so fixtures and experiments need no bundled assets.
+(4: three remapped triplets plus the constant of the range
+normalization) and a gap-free, quickly decaying spectrum, which makes
+solver behaviour reproducible across the corpus.  The remap never takes
+a full SVD: each pass projects the scene on a basis of at most six
+vectors known to span its columns, so a scene costs O(m n) and not
+O(m n min(m, n)).  Everything is a pure function of (index, shape), so
+fixtures and experiments need no bundled assets.
 """
 
 from __future__ import annotations
@@ -40,10 +44,25 @@ def _shape_pair(shape) -> tuple[int, int]:
 
 
 def make_test_image(index: int, shape=32) -> np.ndarray:
-    """Scene number `index`; `shape` is a side length or an (m, n) pair."""
+    """Scene number `index`; `shape` is a side length or an (m, n) pair.
+
+    Sides must be at least 3, since the remapped spectrum has three
+    values.  The scene is a rank-3 product plus a constant, so its rank
+    is 4 wherever both sides are at least 4, and its values run from 0.06
+    to 0.94.
+
+    Each remap pass needs only the scene's top three singular triplets,
+    and every column of the scene lies in a known basis of at most six
+    vectors: in pass 1 the row ramp, the constant and the row factors of
+    the four separable pieces; in later passes the three kept left
+    singular vectors and the constant.  With q an orthonormal basis of
+    that span, the SVD of the small q.T @ scene gives the triplets
+    (Halko, Martinsson & Tropp, SIAM Rev. 2011), at O(m n) cost per pass
+    instead of the O(m n min(m, n)) of a full SVD.
+    """
     m, n = _shape_pair(shape)
-    if m < 2 or n < 2:
-        raise ValueError(f"scene must be at least 2x2, got {m}x{n}")
+    if m < 3 or n < 3:
+        raise ValueError(f"scene must be at least 3x3, got {m}x{n}")
     rng = np.random.default_rng(911_000 + 7919 * index + 131 * (m * 1000 + n))
     rows = _axis(m)[:, None]
     cols = _axis(n)[None, :]
@@ -55,6 +74,7 @@ def make_test_image(index: int, shape=32) -> np.ndarray:
     if rng.random() < 0.5:
         b = -b
     scene += a * rows + b * cols
+    basis = [rows[:, 0], np.ones(m)]  # and each piece's fy: spans the columns
     for _ in range(4):
         amp = rng.uniform(0.5, 1.0) * (1 if rng.random() < 0.7 else -1)
         cy, cx = rng.uniform(0.15, 0.85, size=2)
@@ -67,20 +87,21 @@ def make_test_image(index: int, shape=32) -> np.ndarray:
             fy = _soft_edge(rows, cy - wy, sy) - _soft_edge(rows, cy + wy, sy)
             fx = _soft_edge(cols, cx - wx, sx) - _soft_edge(cols, cx + wx, sx)
         scene += amp * fy * fx
+        basis.append(fy[:, 0])
     lo, hi = scene.min(), scene.max()
     scene = 0.2 + 0.6 * (scene - lo) / (hi - lo)
 
     # remap the spectrum onto the target ratios, keeping the scene's own
     # singular vectors; a few passes absorb the range renormalization
+    profile = np.array([1.0, *SPECTRUM_RATIOS])
     for _ in range(3):
-        u, sig, vt = np.linalg.svd(scene, full_matrices=False)
-        remapped = np.zeros_like(sig)
-        remapped[0] = sig[0]
-        for k, r in enumerate(SPECTRUM_RATIOS):
-            remapped[k + 1] = sig[0] * r
-        scene = (u * remapped) @ vt
+        q = np.linalg.qr(np.column_stack(basis))[0]
+        u, sig, vt = np.linalg.svd(q.T @ scene, full_matrices=False)
+        u = q @ u[:, :3]
+        scene = (u * (sig[0] * profile)) @ vt[:3]
         lo, hi = scene.min(), scene.max()
         scene = 0.06 + 0.88 * (scene - lo) / (hi - lo)
+        basis = [*u.T, np.ones(m)]
     return scene
 
 

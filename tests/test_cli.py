@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +611,29 @@ def test_defend_batch_output_independent_of_jobs(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert sorted(outputs[0]) == ["img0.pgm", "img1.ppm", "img2.pgm", "img3.ppm", "summary.csv"]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_defend_batch_under_python_m_writes_nothing_to_stderr(tmp_path):
+    # each worker printed runpy's "'splic.cli' found in sys.modules"
+    # RuntimeWarning, since the forkserver had preloaded splic.cli
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_image(make_test_image(0, 16), in_dir / "a.pgm")
+    write_image(make_test_image(1, 24), in_dir / "b.pgm")
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splic.cli", "defend", "--batch", "--jobs", "2",
+         "--input", str(in_dir), "--output", str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.pgm", "b.pgm"]
 
 
 def test_defend_one_on_a_worker_process_equals_the_in_process_solve():
