@@ -6,11 +6,10 @@ geometric profile while keeping the scene's own singular vectors.  The
 result looks like a soft natural image but has an exactly known low rank
 (4: three remapped triplets plus the constant of the range
 normalization) and a gap-free, quickly decaying spectrum, which makes
-solver behaviour reproducible across the corpus.  The remap never takes
-a full SVD: each pass projects the scene on a basis of at most six
-vectors known to span its columns, so a scene costs O(m n) and not
-O(m n min(m, n)).  Everything is a pure function of (index, shape), so
-fixtures and experiments need no bundled assets.
+solver behaviour reproducible across the corpus.  The remap takes no
+full SVD (see `make_test_image`), and sides must be at least 3.
+Everything is a pure function of (index, shape), so fixtures and
+experiments need no bundled assets.
 """
 
 from __future__ import annotations
