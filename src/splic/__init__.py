@@ -32,7 +32,7 @@ from .solver import (
     splic_complete,
 )
 from .srf import srf_gradient
-from .testimages import add_uniform_noise, balanced_low_rank, make_test_image
+from .testimages import add_uniform_noise, make_test_image
 from .tv import tv_gradient, tv_gradient_forward, tv_value
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "SvdFactors",
     "add_uniform_noise",
     "as_matrix",
-    "balanced_low_rank",
     "compare_methods",
     "complement",
     "decode_image",

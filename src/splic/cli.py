@@ -372,31 +372,32 @@ def _defend_batch(args, cfg) -> int:
     return _exit_code(args, all(converged for _, converged in results))
 
 
-def _parse_fractions(text) -> list[float]:
+def _sweep(cfg, name, flag, text) -> list[SplicConfig]:
+    """One config per value of the comma-separated list `text` that `flag`
+    gave: `cfg` with its field `name` set to the value, so SplicConfig
+    checks each one before any solve."""
+    kind = FIELD_TYPES[name][0]
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad fraction list {text!r}") from exc
-    if not values or any(not 0.0 < v <= 1.0 for v in values):
-        raise ValueError(f"fractions must lie in (0, 1]: {text!r}")
-    return values
+        raise ValueError(f"{flag}: bad list {text!r}") from exc
+    if not values:
+        raise ValueError(f"{flag}: empty list {text!r}")
+    return [dataclasses.replace(cfg, **{name: v}) for v in values]
 
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
+    runs = _sweep(cfg, "anchor_fraction", "--anchor-fraction", args.fraction_sweep)
     corrupt = _read_input(args, cfg)
     if corrupt.ndim != 2:
         raise ValueError("compare works on single-channel images")
     clean = _read_reference(args.reference or args.input, corrupt)
-    fractions = _parse_fractions(args.fraction_sweep)
-    m, n = corrupt.shape
     lines = ["fraction," + COMPARISON_CSV_HEADER]
-    for frac in fractions:
-        mask = generate_mask(m, n, frac, cfg.seed)
-        run_cfg = dataclasses.replace(cfg, anchor_fraction=frac)
-        records = compare_methods(
-            clean, corrupt, mask, run_cfg, tau=args.tau, eta=args.eta
-        )
+    for run_cfg in runs:
+        frac = run_cfg.anchor_fraction
+        mask = generate_mask(*corrupt.shape, frac, run_cfg.seed)
+        records = compare_methods(clean, corrupt, mask, run_cfg, tau=args.tau, eta=args.eta)
         lines += [f"{frac!r},{row}" for row in comparison_rows(records)]
     atomic_write(args.output, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
@@ -404,29 +405,24 @@ def cmd_compare(args) -> int:
 
 def cmd_rank_sweep(args) -> int:
     cfg = _build_config(args)
+    runs = _sweep(cfg, "r", "--ranks", args.ranks)
     image = _read_input(args, cfg)
     if image.ndim != 2:
         raise ValueError("rank-sweep works on single-channel images")
-    m, n = image.shape
-    try:
-        ranks = [int(tok) for tok in args.ranks.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad rank list {args.ranks!r}") from exc
-    if not ranks or any(r < 1 or r > min(m, n) for r in ranks):
-        raise ValueError(f"ranks must lie in [1, {min(m, n)}]: {args.ranks!r}")
-    reference = _read_reference(args.reference, image) if args.reference else image
+    for run_cfg in runs:
+        run_cfg.resolve_rank(*image.shape)
+    reference = _read_reference(args.reference or args.input, image)
     mask = _mask(args, cfg, image.shape)
     out_dir = Path(args.output_dir)
     stem = Path(args.input).stem
     lines = ["rank,psnr_db,numerical_rank,converged"]
     converged = True
-    for r in ranks:
-        run_cfg = dataclasses.replace(cfg, r=r)
+    for run_cfg in runs:
         res = splic_complete(image, mask, run_cfg)
         rank_out = numerical_rank(res.low_rank, RANK_TOL)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
-        lines.append(f"{r},{quality!r},{rank_out},{int(res.converged)}")
-        _write_output(res.low_rank, out_dir / f"{stem}_r{r}.pgm", run_cfg)
+        lines.append(f"{run_cfg.r},{quality!r},{rank_out},{int(res.converged)}")
+        _write_output(res.low_rank, out_dir / f"{stem}_r{run_cfg.r}.pgm", run_cfg)
         converged &= res.converged
     atomic_write(args.csv, ("\n".join(lines) + "\n").encode())
     return _exit_code(args, converged)
@@ -461,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run all methods across anchor fractions")
     p.add_argument("--input", required=True)
-    p.add_argument("--reference", help="clean image (defaults to the input)")
+    p.add_argument("--reference", help="clean image (defaults to the input file as stored)")
     p.add_argument("--output", required=True, help="comparison CSV")
     p.add_argument(
         "--anchor-fraction",
@@ -476,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank-sweep", help="complete at several target ranks")
     p.add_argument("--input", required=True)
-    p.add_argument("--reference")
+    p.add_argument("--reference", help="clean image (defaults to the input file as stored)")
     p.add_argument("--ranks", required=True, help="comma-separated ranks, e.g. 56,28,14,7")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--csv", required=True)

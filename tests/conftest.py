@@ -54,6 +54,28 @@ def recorded_steps(every=1):
         yield steps
 
 
+def balanced_low_rank(m: int, n: int, rank: int, seed: int = 0) -> np.ndarray:
+    """Exact rank-`rank` matrix in [0, 1] without a dominant spectral gap.
+
+    Built as a mid-grey plane plus rank-1 products of smooth sinusoids
+    with comparable weights; useful as recoverable ground truth.
+    """
+    if rank < 1 or rank > min(m, n):
+        raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
+    rng = np.random.default_rng(402_000 + 104_729 * seed + rank)
+    ty = np.linspace(0.0, 1.0, m)
+    tx = np.linspace(0.0, 1.0, n)
+    out = np.full((m, n), 0.5)
+    for k in range(rank - 1):
+        fy, fx = rng.uniform(0.5, 2.0, size=2)
+        py, px = rng.uniform(0.0, 2 * np.pi, size=2)
+        weight = 0.12 * (0.85**k)
+        out += weight * np.outer(
+            np.sin(2 * np.pi * fy * ty + py), np.sin(2 * np.pi * fx * tx + px)
+        )
+    return np.clip(out, 0.0, 1.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import finite_difference_gradient, recorded_steps
+from conftest import balanced_low_rank, finite_difference_gradient, recorded_steps
 from splic.cli import main as cli_main
 from splic.image_io import decode_image, encode_image, write_image, PnmParseError
 from splic.linalg import svd
@@ -18,7 +18,7 @@ from splic.metrics import psnr
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig, splic_complete
 from splic.srf import srf_gradient, srf_value_from_sigma
-from splic.testimages import add_uniform_noise, balanced_low_rank, make_test_image
+from splic.testimages import add_uniform_noise, make_test_image
 from splic.tv import tv_gradient, tv_value
 
 

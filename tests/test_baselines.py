@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splic.baselines as baselines_module
-from conftest import assert_traces_equal, exact_svd
+from conftest import assert_traces_equal, balanced_low_rank, exact_svd
 from splic.baselines import (
     soft_impute_with_count,
     soft_threshold_singular,
@@ -77,8 +77,6 @@ def test_soft_impute_objective_monotone_after_burn_in():
     residual plus tau times the nuclear norm (computed from the singular
     values directly).  The bare nuclear norm is not monotone: early
     iterations add mass while filling in the unobserved entries."""
-    from splic.testimages import balanced_low_rank
-
     for inst in range(3):
         truth = balanced_low_rank(32, 32, 3, inst)
         mask = generate_mask(32, 32, 0.6, inst)

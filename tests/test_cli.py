@@ -389,12 +389,32 @@ def test_compare_sweep_csv_shape(tmp_path, scene_file):
         assert methods == {"splic", "srf", "soft-impute", "usvt"}
 
 
-def test_compare_rejects_bad_fractions(tmp_path, scene_file):
-    code, _ = run_cli(
-        "compare", "--input", scene_file, "--output", tmp_path / "c.csv",
-        "--anchor-fraction", "0.0,0.5",
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--anchor-fraction", "0.5,0"], "anchor_fraction must be in (0, 1], got 0.0"),
+        (["compare", "--anchor-fraction", "0.5,x"], "--anchor-fraction: bad list '0.5,x'"),
+        (["compare", "--anchor-fraction", " , "], "--anchor-fraction: empty list ' , '"),
+        (["rank-sweep", "--ranks", "4,999"], "target rank 999 exceeds min(m, n) = 32"),
+        (["rank-sweep", "--ranks", "4,0"], "target rank must be at least 1, got 0"),
+        (["rank-sweep", "--ranks", "4,4.5"], "--ranks: bad list '4,4.5'"),
+    ],
+    ids=["fraction-range", "fraction-list", "fraction-empty", "rank-range", "rank-zero", "rank-list"],
+)
+def test_sweep_list_is_checked_before_any_solve(tmp_path, scene_file, monkeypatch, argv, message):
+    # each command kept its own copy of the bounds, and the tests of the
+    # fraction and rank bounds checked only the exit code
+    solves = _count_calls(
+        monkeypatch, "splic_complete", cli_module, metrics_module, baselines_module
     )
-    assert code == 2
+    outputs = {
+        "compare": ["--output", tmp_path / "c.csv"],
+        "rank-sweep": ["--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv"],
+    }[argv[0]]
+    code, err = run_cli(*argv, "--input", scene_file, *outputs)
+    assert code == 2 and err == f"error: {message}\n"
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
 
 
 def test_rank_sweep_outputs_and_csv(tmp_path, scene_file):
@@ -415,14 +435,6 @@ def test_rank_sweep_outputs_and_csv(tmp_path, scene_file):
         assert numerical_rank(img, 1e-2) <= r
 
 
-def test_rank_sweep_rejects_rank_zero(tmp_path, scene_file):
-    code, _ = run_cli(
-        "rank-sweep", "--input", scene_file, "--ranks", "0",
-        "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
-    )
-    assert code == 2
-
-
 def test_rank_sweep_solves_with_the_mask_file(tmp_path, scene_file):
     # --mask was accepted and ignored: the sweep drew its own random mask
     mask = generate_mask(32, 32, 0.3, 11)
@@ -440,6 +452,23 @@ def test_rank_sweep_solves_with_the_mask_file(tmp_path, scene_file):
     rank = numerical_rank(res.low_rank, metrics_module.RANK_TOL)
     row = f"6,{quality!r},{rank},{int(res.converged)}"
     assert csv_path.read_text().splitlines()[1] == row
+
+
+def test_rank_sweep_scores_a_noisy_run_against_the_input_file(tmp_path):
+    # without --reference, rank-sweep scored against the noisy copy it
+    # solved (30.84 dB here), while compare scored against the input file
+    src, csv_path = tmp_path / "in.pgm", tmp_path / "c.csv"
+    write_image(make_test_image(200, 64), src)
+    code, _ = run_cli(
+        "rank-sweep", "--input", src, "--ranks", "4", "--seed", "2",
+        "--add-uniform-noise", "0.05", "--output-dir", tmp_path / "d", "--csv", csv_path,
+    )
+    assert code == 0
+    clean, cfg = read_image(src), SplicConfig(r=4, seed=2)
+    noisy = add_uniform_noise(clean, 0.05, cfg.seed)
+    res = splic_complete(noisy, generate_mask(64, 64, cfg.anchor_fraction, cfg.seed), cfg)
+    quality = psnr(np.clip(res.low_rank, 0.0, 1.0), clean)
+    assert csv_path.read_text().splitlines()[1].split(",")[1] == repr(quality)
 
 
 @pytest.mark.parametrize(

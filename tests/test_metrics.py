@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import splic.metrics as metrics_module
+from conftest import balanced_low_rank
 from splic.metrics import (
     METHOD_NAMES,
     compare_methods,
@@ -13,7 +14,6 @@ from splic.metrics import (
 from splic.linalg import svd
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig
-from splic.testimages import balanced_low_rank
 
 
 def test_psnr_identical_is_infinite(rng):

@@ -20,7 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
         ),
         ("convergence_study.py", ["--out", "traces"], ["traces/scene00_trace.csv"]),
         ("method_comparison.py", ["--out", "comparison.csv"], ["comparison.csv"]),
-        ("tv_ablation.py", [], []),
+        (
+            "method_comparison.py",
+            ["--out", "noisy.csv", "--fractions", "0.5", "--noise", "0.03"],
+            ["noisy.csv"],
+        ),
     ],
 )
 def test_script_runs_on_one_tiny_scene(tmp_path, script, args, outputs):

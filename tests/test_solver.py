@@ -7,7 +7,13 @@ import pytest
 
 import splic.baselines as baselines_module
 import splic.solver as solver_module
-from conftest import assert_traces_equal, exact_svd, recorded_steps, two_qr_svd
+from conftest import (
+    assert_traces_equal,
+    balanced_low_rank,
+    exact_svd,
+    recorded_steps,
+    two_qr_svd,
+)
 from splic.baselines import soft_impute_with_count, soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import psnr
@@ -19,7 +25,7 @@ from splic.solver import (
     splic_complete,
 )
 from splic.srf import srf_gradient, srf_value_from_sigma
-from splic.testimages import add_uniform_noise, balanced_low_rank, make_test_image
+from splic.testimages import add_uniform_noise, make_test_image
 from splic.tv import tv_gradient, tv_gradient_forward, tv_value
 
 
