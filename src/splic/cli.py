@@ -388,7 +388,9 @@ def _sweep(cfg, name, flag, text) -> list[SplicConfig]:
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
-    runs = _sweep(cfg, "anchor_fraction", "--anchor-fraction", args.fraction_sweep)
+    runs = [cfg]
+    if args.fraction_sweep is not None:
+        runs = _sweep(cfg, "anchor_fraction", "--anchor-fraction", args.fraction_sweep)
     corrupt = _read_input(args, cfg)
     if corrupt.ndim != 2:
         raise ValueError("compare works on single-channel images")
@@ -462,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--anchor-fraction",
         dest="fraction_sweep",
-        default="0.5",
-        help="comma-separated anchor fractions to sweep, e.g. 0.3,0.5,0.7",
+        help="comma-separated anchor fractions to sweep, e.g. 0.3,0.5,0.7 "
+        "(default: the config's anchor_fraction)",
     )
     p.add_argument("--tau", type=float, default=None, help="soft-impute threshold")
     p.add_argument("--eta", type=float, default=0.01, help="one-shot threshold margin")

@@ -18,12 +18,12 @@ sigma * (1 - mu * exp(-sigma^2 / 2 delta^2)), a shrink of at most
 mu * sigma at every scale: large-delta blocks do strong global smoothing
 and the schedule then progressively freezes the retained structure.
 
-Every step is exactly homogeneous under power-of-two scaling, so each
-plane is solved in its unit frame: scaled, with its epsilon, by the 2^-e
-that puts its anchor peak max|x_Omega| in [1/2, 1), and scaled back at the
-end (the outputs, and the trace with its `tv` by 2^2e), before the clamp.
-That moves no bit wherever the caller's frame stays finite, and gives
-every finite input a result.
+Each plane is solved in its unit frame, scaled by the 2^-e that puts its
+anchor peak max|x_Omega| in (1/2, 1]: epsilon and the trace apply there,
+and only `completed` and `low_rank` are scaled back, before the clamp.
+Every step is exactly homogeneous under power-of-two scaling, so every
+finite input gets a result, and scaling a plane by 2^k scales only its
+outputs: the stop is scale-free across powers of two, though not within one.
 
 The two-pass scheme (`splic_alternated`) completes the target pixels
 first, then swaps the roles of anchors and targets and completes again,
@@ -90,7 +90,7 @@ class SplicConfig:
     rho      per-block decay of the smoothness parameter, in (0, 1)
     mu       gradient step size
     r        target rank; None means round_half_up(min(m, n) / 4) (flag --rank)
-    epsilon  stop threshold on the per-block ||X_after - X_before||_F / (m * n)
+    epsilon  stop threshold on a block's unit-frame ||X_after - X_before||_F / (m * n)
     maxiter  iteration budget, exact: counts inner steps, so the last
              block may be cut short
     inner_steps  iterations per fixed-delta block
@@ -177,8 +177,8 @@ class ConvergenceTrace:
     (`plane`, 0 for an (m, n) image), its iteration `t`, the block's
     `delta`, `rel_change` between its projected iterates, the smoothed
     rank `srf` of its truncated iterate at that delta and the roughness
-    `tv` of its projected iterate.  Rows go in step order, and within a
-    step the live planes go in index order.
+    `tv` of its projected iterate, all in the plane's unit frame.  Rows
+    go in step order, and within a step the live planes go in index order.
     """
 
     plane: np.ndarray
@@ -337,22 +337,20 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     q = warm_rank(r, m, n)
     tv_grad = _TV_GRADIENTS[cfg.tv_mode]
 
-    # each plane's unit frame (see the module docstring); an epsilon that
-    # passes the largest float there reads inf
+    # each plane's unit frame (see the module docstring)
     current = np.where(anchor, planes, 0.0)
-    e = np.frexp(np.abs(current).max(axis=(-2, -1)))[1]
+    mantissa, e = np.frexp(np.abs(current).max(axis=(-2, -1)))
+    e -= mantissa == 0.5
     np.ldexp(current, -e[:, None, None], out=current)
-    with np.errstate(over="ignore"):
-        epsilon = np.ldexp(cfg.epsilon, -e)
     delta = np.linalg.norm(current, 2, axis=(-2, -1))
     if np.any(delta == 0.0):
         raise ValueError(
             "anchor-masked image is identically zero; delta cannot be initialized"
         )
 
-    # `current`, `fixed`, `delta` and `epsilon` hold the planes still
-    # running, whose indices are `live`; `final` collects each plane as it
-    # retires.  The first iterate never changes, so it serves as `fixed`.
+    # `current`, `fixed` and `delta` hold the planes still running, whose
+    # indices are `live`; `final` collects each plane as it retires.  The
+    # first iterate never changes, so it serves as `fixed`.
     final = np.empty_like(planes)
     fixed = current
     live = np.arange(k)
@@ -376,26 +374,20 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         # underflowing to 0: the rank term has vanished there, and
         # sigma = 0 still gives the surrogate's limit exp(-0) = 1, not 0 / 0
         delta = np.maximum(delta * cfg.rho, _DELTA_FLOOR)
-        done = block_rel <= epsilon
+        done = block_rel <= cfg.epsilon
         converged[live] = done
         retire = done | (t >= cfg.maxiter)
         if retire.any():
             final[live[retire]] = current[retire]
             keep = ~retire
             current, fixed, delta, live = current[keep], fixed[keep], delta[keep], live[keep]
-            epsilon = epsilon[keep]
             if basis is not None:
                 basis = basis[keep]
 
     low_rank = reconstruct(svd(final, rank=r))
-    trace = _concat(steps)
-    # back to the caller's frame; srf is scale-free and tv has degree 2
-    shift = e[trace.plane]
     with np.errstate(over="ignore"):
         for surface in (final, low_rank):
             np.ldexp(surface, e[:, None, None], out=surface)
-        for column, degree in ((trace.delta, 1), (trace.rel_change, 1), (trace.tv, 2)):
-            np.ldexp(column, degree * shift, out=column)
     completed = final
     if cfg.clamp_output:
         completed = np.where(anchor, planes, np.clip(final, 0.0, 1.0))
@@ -405,7 +397,7 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     return CompletionResult(
         completed=completed,
         low_rank=low_rank,
-        trace=trace,
+        trace=_concat(steps),
         converged=bool(converged.all()),
     )
 

@@ -389,6 +389,21 @@ def test_compare_sweep_csv_shape(tmp_path, scene_file):
         assert methods == {"splic", "srf", "soft-impute", "usvt"}
 
 
+def test_compare_without_the_flag_keeps_the_config_files_fraction(tmp_path):
+    # the flag once defaulted to "0.5", so an absent flag overrode the file
+    scene = tmp_path / "scene.pgm"
+    write_image(make_test_image(0, 24), scene)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"anchor_fraction": 0.3}))
+    for flag, fractions in (([], {"0.3"}), (["--anchor-fraction", "0.7"], {"0.7"})):
+        out = tmp_path / "cmp.csv"
+        code, _ = run_cli(
+            "compare", "--input", scene, "--output", out, "--config", cfg_path, *flag
+        )
+        assert code == 0
+        assert {r["fraction"] for r in csv.DictReader(out.open())} == fractions, flag
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

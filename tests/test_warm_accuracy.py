@@ -42,15 +42,14 @@ MAX_PSNR_LOSS_DB = 0.05
 def _pass(x, mask, cfg, exact):
     """One `splic_complete` pass and its per-block changes, on the warm
     path or with every step exact.  The recorded steps are in the solver's
-    unit frame, x scaled by 2^-e; the changes are taken there and scaled
-    back by 2^e, which is exact."""
+    unit frame, and so are the changes, as the solver compares them with
+    epsilon; each step holds the unit-frame anchors, the pass's start."""
     with pytest.MonkeyPatch.context() as mp, recorded_steps(cfg.inner_steps) as steps:
         if exact:
             mp.setattr(solver_module, "svd", exact_svd)
         res = splic_complete(x, mask, cfg)
-    e = np.frexp(np.abs(x[mask == 1.0]).max())[1]
-    ends = [np.ldexp(np.where(mask == 1.0, x, 0.0), -e)] + [step[0] for step in steps]
-    return res, [np.ldexp(relative_change(b, a), e) for a, b in zip(ends, ends[1:])]
+    ends = [np.where(mask == 1.0, steps[0][0], 0.0)] + [step[0] for step in steps]
+    return res, [relative_change(b, a) for a, b in zip(ends, ends[1:])]
 
 
 def _same_stop(warm, exact, exact_changes, cfg):
