@@ -52,16 +52,11 @@ def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1
         raise ValueError(f"iters must be at least 1, got {iters}")
     z = np.where(observed, arr, 0.0)
     basis = None
-    done = 0
-    for _ in range(iters):
-        filled = np.where(observed, arr, z)
-        f, basis = _svt_triplets(filled, tau, basis)
-        z_next = soft_threshold_singular(f, tau)
-        done += 1
-        if relative_change(z_next, z) < tol:
-            z = z_next
+    for done in range(1, iters + 1):
+        f, basis = _svt_triplets(np.where(observed, arr, z), tau, basis)
+        z, z_prev = soft_threshold_singular(f, tau), z
+        if relative_change(z, z_prev) < tol:
             break
-        z = z_next
     return z, done
 
 
@@ -96,8 +91,6 @@ def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
     arr = as_matrix(x)
     observed = validate_mask(mask, arr.shape)
     p_hat = float(np.mean(observed))
-    if p_hat == 0.0:
-        raise ValueError("mask has no observed entries")
     n = arr.shape[1]
     scaled = np.where(observed, arr, 0.0) / p_hat
     f = svd(scaled)

@@ -41,7 +41,8 @@ def complement(mask) -> np.ndarray:
 
 def validate_mask(mask, shape=None) -> np.ndarray:
     """The anchor booleans of a mask, checked to be 2-D, with entries in
-    {0, 1} and, when `shape` is given, of that (m, n) shape."""
+    {0, 1}, of `shape` when given, and with an anchor: every completer
+    calls it first, so it is the one place an anchorless mask is rejected."""
     arr = np.asarray(mask, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
@@ -50,4 +51,6 @@ def validate_mask(mask, shape=None) -> np.ndarray:
         raise ValueError("mask entries must all be 0 or 1")
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"mask shape {arr.shape} != image shape {tuple(shape)}")
+    if not anchor.any():
+        raise ValueError("mask has no anchor pixel; a completion needs at least one")
     return anchor

@@ -94,7 +94,7 @@ class SplicConfig:
     maxiter  iteration budget, exact: counts inner steps, so the last
              block may be cut short
     inner_steps  iterations per fixed-delta block
-    anchor_fraction  fraction of pixels held fixed (two-pass mode)
+    anchor_fraction  fraction of pixels anchored in pass 1 (two-pass mode; must leave a target)
     seed     mask seed (two-pass mode)
     tv_mode  "exact" or "paper" gradient variant
     clamp_output  clip re-estimated pixels to [0, 1] once, at the end (flag --no-clamp)
@@ -274,31 +274,29 @@ def _top_r(current, r, q, basis):
     """The top-r singular triplets of each plane of the live stack, and
     the q right bases for the next step, or None where q is None.
 
-    q=None takes the exact rank path for r triplets, basis=None the exact
-    path for q.  Otherwise each plane takes the warm path from its previous
-    bases; a plane whose residual ||current^T u - sigma v||_F over the top
-    r is not finite or exceeds sigma_r falls back to the exact path, alone,
-    so each plane of a stack gets the factors it would get alone.
+    basis=None, as always where q is None, takes the exact rank path, for q
+    triplets (r where q is None).  Otherwise each plane takes the warm path
+    from its previous bases; a plane whose residual ||current^T u - sigma v||_F
+    over the top r is not finite or exceeds sigma_r falls back to the exact
+    path, alone, so each plane of a stack gets the factors it would get alone.
     """
-    if q is None:
-        return svd(current, rank=r), None
     if basis is None:
-        f = svd(current, rank=q)
-        return f.top(r), f.V
+        f = svd(current, rank=r if q is None else q)
+        return f.top(r), (None if q is None else f.V)
     f = svd(current, rank=q, start=basis)
-    top = f.top(r)
-    bad = ~residual_ok(current, top)
+    bad = ~residual_ok(current, f.top(r))
     if bad.any():
         exact = svd(current[bad], rank=q)
         f.U[bad], f.sigma[bad], f.V[bad] = exact.U, exact.sigma, exact.V
     return f.top(r), f.V
 
 
-def _step(f, fixed, anchor, delta, dd, cfg, tv_grad):
-    """One iteration on the live stack from its top-r triplets `f`: the
-    projected iterate.  The gradients are combined in place, in the order
-    `truncated - mu * (dd * g_rank + lam * g_tv)` spells out, so only
-    three full-size arrays live at once."""
+def _step(current, f, anchor, delta, dd, cfg, tv_grad):
+    """One iteration on the live stack `current` from its top-r triplets
+    `f`: the projected iterate, which takes its anchors from `current`
+    (every iterate holds them bit for bit).  The gradients are combined in
+    place, in the order `truncated - mu * (dd * g_rank + lam * g_tv)`
+    spells out, so only three full-size arrays live at once."""
     x_tilde = reconstruct(f)
     g_tv = tv_grad(x_tilde)
     g_tv *= cfg.lam
@@ -308,7 +306,7 @@ def _step(f, fixed, anchor, delta, dd, cfg, tv_grad):
     del g_tv
     g_rank *= cfg.mu
     x_tilde -= g_rank
-    np.copyto(x_tilde, fixed, where=anchor)
+    np.copyto(x_tilde, current, where=anchor)
     return x_tilde
 
 
@@ -323,10 +321,11 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     length and `converged` means every plane converged.
 
     Every finite input gets a result, in the caller's frame: a value that
-    exceeds the largest float there reads inf.  A plane whose anchors are
-    all zero is rejected with a ValueError before the first step.  With
-    `clamp_output=False`, an anchor more than 2^1022 below its plane's
-    peak is subnormal in the unit frame and is not returned bit-exact.
+    exceeds the largest float there reads inf.  A mask with no anchor, or a
+    plane whose anchors are all zero, is rejected with a ValueError before
+    the first step.  With `clamp_output=False`, an anchor more than 2^1022
+    below its plane's peak is subnormal in the unit frame and is not
+    returned bit-exact.
     """
     planes, stacked = _image_stack(x)
     k, m, n = planes.shape
@@ -348,11 +347,9 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
             "anchor-masked image is identically zero; delta cannot be initialized"
         )
 
-    # `current`, `fixed` and `delta` hold the planes still running, whose
-    # indices are `live`; `final` collects each plane as it retires.  The
-    # first iterate never changes, so it serves as `fixed`.
+    # `current` and `delta` hold the planes still running, whose indices
+    # are `live`; `final` collects each plane as it retires
     final = np.empty_like(planes)
-    fixed = current
     live = np.arange(k)
     steps = []  # per step, a tuple of the trace's columns for the live planes
     converged = np.zeros(k, dtype=bool)
@@ -363,7 +360,7 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         dd = (delta * delta)[:, None, None]
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
             f, basis = _top_r(current, r, q, basis)
-            x_next = _step(f, fixed, anchor, delta, dd, cfg, tv_grad)
+            x_next = _step(current, f, anchor, delta, dd, cfg, tv_grad)
             t += 1
             rel = relative_change(x_next, current)
             srf = srf_value_from_sigma(f.sigma, delta)
@@ -380,7 +377,7 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         if retire.any():
             final[live[retire]] = current[retire]
             keep = ~retire
-            current, fixed, delta, live = current[keep], fixed[keep], delta[keep], live[keep]
+            current, delta, live = current[keep], delta[keep], live[keep]
             if basis is not None:
                 basis = basis[keep]
 
@@ -411,15 +408,23 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     the traces are concatenated, the first pass's rows before the
     second's (the restart is visible, per plane, as a delta jump).
     A (k, m, n) stack shares the mask across its planes and gives results
-    shaped as `splic_complete` gives them for a stack.
+    shaped as `splic_complete` gives them for a stack.  Each pass needs an
+    anchor, so the mask must leave a target; both are checked before pass 1.
     """
     arr = as_stack(x, "image")
     m, n = arr.shape[-2:]
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
+    count = int(mask.sum())
+    if not 0 < count < m * n:
+        raise ValueError(
+            f"anchor_fraction {cfg.anchor_fraction} anchors {count} of {m * n} "
+            "pixels; two-pass mode needs at least one anchor and one target"
+        )
+    second_mask = complement(mask)
     first = splic_complete(arr, mask, cfg)
     # free the first pass's low-rank surface, unused, before the second pass
     first = replace(first, low_rank=None)
-    second = splic_complete(first.completed, complement(mask), cfg)
+    second = splic_complete(first.completed, second_mask, cfg)
     return CompletionResult(
         completed=second.completed,
         low_rank=second.low_rank,

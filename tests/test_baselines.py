@@ -224,13 +224,13 @@ def test_soft_impute_threshold_above_the_spectrum_gives_zeros():
 
 
 def test_soft_impute_of_an_all_zero_observation_is_zero_and_silent():
-    x = make_test_image(5, (24, 40))
-    cases = [(np.zeros_like(x), generate_mask(24, 40, 0.5, 3)), (x, np.zeros_like(x))]
+    # an all-zero mask, which this also returned zeros for, is now rejected
+    # (test_every_completer_rejects_an_anchorless_mask_before_any_svd)
+    obs = np.zeros((24, 40))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for obs, mask in cases:
-            z, count = soft_impute_with_count(obs, mask, 0.1)
-            assert np.array_equal(z, np.zeros_like(x)) and count == 1
+        z, count = soft_impute_with_count(obs, generate_mask(24, 40, 0.5, 3), 0.1)
+    assert np.array_equal(z, obs) and count == 1
 
 
 def test_usvt_full_mask_keeps_large_spectrum():

@@ -326,6 +326,17 @@ def test_all_black_image_exits_2(tmp_path, command):
     assert not out.exists()
 
 
+def test_defend_with_every_pixel_anchored_exits_2_before_solving(tmp_path, scene_file):
+    # pass 2 had no anchors, and the error blamed an all-zero image
+    out = tmp_path / "o.pgm"
+    code, err = run_cli(
+        "defend", "--input", scene_file, "--output", out, "--anchor-fraction", "1.0"
+    )
+    assert code == 2
+    assert "anchor_fraction 1.0 anchors 1024 of 1024 pixels; two-pass mode" in err
+    assert not out.exists()
+
+
 def test_defend_trace_contains_two_passes(tmp_path, scene_file):
     trace = tmp_path / "t.csv"
     code, _ = run_cli(
@@ -515,7 +526,7 @@ def test_rank_sweep_writes_nothing_when_the_solve_is_rejected(tmp_path, scene_fi
         "rank-sweep", "--input", scene_file, "--ranks", "4", "--mask", mask_path,
         "--output-dir", tmp_path / "d", "--csv", tmp_path / "c.csv",
     )
-    assert code == 2 and "identically zero" in err
+    assert code == 2 and "mask has no anchor pixel" in err
     assert not (tmp_path / "d").exists() and not (tmp_path / "c.csv").exists()
 
 

@@ -97,6 +97,18 @@ def test_quantization_round_half_up():
     assert body.split() == ["0", "255", "128", "64"]
 
 
+def test_ascii_body_has_sixteen_samples_per_line():
+    # 3 x 7 colour: 63 interleaved samples, on lines of 16, 16, 16 and 15
+    x = np.arange(63).reshape(3, 3, 7) / 255.0
+    data = encode_image(x, fmt="P3")
+    lines = data.decode("ascii").split("\n")
+    assert lines[:3] == ["P3", "7 3", "255"] and lines[-1] == ""
+    body = [line.split() for line in lines[3:-1]]
+    assert [len(line) for line in body] == [16, 16, 16, 15]
+    samples = np.arange(63).reshape(3, 21).T.reshape(-1)
+    assert [int(v) for line in body for v in line] == samples.tolist()
+
+
 def test_all_zeros_payload():
     data = encode_image(np.zeros((2, 3)), fmt="P5")
     assert data.endswith(bytes(6))

@@ -1,10 +1,11 @@
-"""Each script under scripts/ runs end to end on one tiny scene."""
+"""Each script under scripts/ runs end to end on one tiny scene or grid."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +43,51 @@ def test_script_runs_on_one_tiny_scene(tmp_path, script, args, outputs):
     assert proc.stdout
     for name in outputs:
         assert (tmp_path / name).is_file(), name
+
+
+def _corpus_diff(*args, cwd):
+    """A `scripts/corpus_diff.py` process, started with src/ on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "corpus_diff.py"), *map(str, args)],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out
+
+
+def test_corpus_diff_reports_identical_runs_and_a_one_ulp_move(tmp_path):
+    # both runs at once: each pins BLAS to one thread
+    runs = [_corpus_diff("run", "--tiny", "--out", f"{name}.npz", cwd=tmp_path) for name in "ab"]
+    for proc in runs:
+        _finish(proc)
+    with np.load(tmp_path / "b.npz") as archive:
+        arrays = dict(archive)
+    # one entry of a surface and the PSNR of one case, each moved by one ulp
+    case = next(k for k in sorted(arrays) if k.endswith("|completed"))[: -len("|completed")]
+    for name, at in (("completed", 5), ("psnr", 0)):
+        moved = arrays[f"{case}|{name}"].copy()
+        moved.flat[at] = np.nextafter(moved.flat[at], np.inf)
+        arrays[f"{case}|{name}"] = moved
+    np.savez(tmp_path / "c.npz", **arrays)
+    (tmp_path / "bad.npz").write_bytes(b"not an archive")
+    diffs = [_corpus_diff("diff", "a.npz", other, cwd=tmp_path) for other in ("b.npz", "c.npz")]
+    bad = _corpus_diff("diff", "a.npz", "bad.npz", cwd=tmp_path)
+    same, moved = map(_finish, diffs)
+
+    cases = int(same.split("overall: ")[1].split()[0])
+    assert cases > 100
+    assert f"overall: {cases} cases, {cases} bit-identical" in same
+    assert "input digests differ: 0 of" in same
+    assert f"overall: {cases} cases, {cases - 1} bit-identical" in moved
+    assert "iteration count changed: 0 cases" in moved
+    bad.communicate(timeout=60)
+    assert bad.returncode == 1

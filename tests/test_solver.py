@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import (
 )
 from splic.baselines import soft_impute_with_count, soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
-from splic.metrics import psnr
+from splic.metrics import compare_methods, psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import (
     SplicConfig,
@@ -253,11 +254,79 @@ def test_stop_is_scale_free_across_powers_of_two():
         assert abs(gap) <= 1e-9, (scale, gap)
 
 
+NO_ANCHOR = "mask has no anchor pixel; a completion needs at least one"
+TWO_PASS = "two-pass mode needs at least one anchor and one target"
+
+
 def test_complement_of_full_mask_invalid_for_solving(rng):
     x = rng.uniform(0.1, 1.0, size=(8, 8))
     empty = complement(generate_mask(8, 8, 1.0, 0))
-    with pytest.raises(ValueError, match="zero"):
+    with pytest.raises(ValueError, match=NO_ANCHOR):
         splic_complete(x, empty, SplicConfig())
+
+
+@pytest.mark.parametrize(
+    "complete",
+    [
+        lambda x, mask: splic_complete(x, mask, SplicConfig()),
+        lambda x, mask: soft_impute_with_count(x, mask, 0.1),
+        lambda x, mask: usvt(x, mask),
+        lambda x, mask: compare_methods(x, x, mask, SplicConfig()),
+    ],
+    ids=["splic_complete", "soft_impute", "usvt", "compare_methods"],
+)
+def test_every_completer_rejects_an_anchorless_mask_before_any_svd(complete, monkeypatch):
+    # splic_complete blamed an "identically zero" image, usvt had a message
+    # of its own and soft-impute returned zeros after one iteration
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    for module in (solver_module, baselines_module):
+        monkeypatch.setattr(module, "svd", no_svd)
+    x = make_test_image(0, 16)
+    with pytest.raises(ValueError, match=NO_ANCHOR):
+        complete(x, np.zeros((16, 16)))
+
+
+@pytest.mark.parametrize(
+    "side, fraction, anchors",
+    [(8, 1.0, 64), (24, 1.0, 576), (8, 0.995, 64), (8, 0.005, 0)],
+)
+def test_alternated_checks_both_masks_before_the_first_solve(
+    side, fraction, anchors, monkeypatch
+):
+    # 1.0 left pass 2 with no anchors, and the error blamed a zero image
+    calls, solve = [], solver_module.splic_complete
+    monkeypatch.setattr(
+        solver_module, "splic_complete", lambda *a: calls.append(a) or solve(*a)
+    )
+    x = make_test_image(0, side)
+    cfg = SplicConfig(anchor_fraction=fraction)
+    message = f"anchor_fraction {fraction} anchors {anchors} of {side * side} pixels; {TWO_PASS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        splic_alternated(x, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tv_mode", ["exact", "paper"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_every_iterate_holds_the_first_iterates_anchors(tv_mode, stacked):
+    # _step projects each iterate onto the anchors of the one it steps from,
+    # which holds only while every iterate keeps the first one's anchors
+    if stacked:
+        x, mask = _noisy_planes((32, 32), 2), generate_mask(32, 32, 0.5, 5)
+    else:
+        x, mask = make_test_image(3, 64), generate_mask(64, 64, 0.5, 4)
+    anchors = mask == 1.0
+    with recorded_steps() as steps:
+        res = splic_complete(x, mask, SplicConfig(tv_mode=tv_mode))
+    if stacked:
+        # the planes retire in different blocks
+        assert len(set(np.bincount(res.trace.plane).tolist())) > 1
+    live = np.split(res.trace.plane, np.cumsum([s.shape[0] for s in steps])[:-1])
+    first = steps[0][:, anchors]
+    for planes, step in zip(live, steps):
+        assert step[:, anchors].tobytes() == first[planes].tobytes()
 
 
 def test_shape_mismatch_rejected(rng):
