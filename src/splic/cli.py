@@ -245,21 +245,18 @@ def _worker_pool():
 def _solve_groups(groups, process, jobs) -> list:
     """`[process(group) for group in groups]`, on up to `jobs` workers.
 
-    The calling thread is worker 0.  Each of the other
-    `min(jobs, len(groups)) - 1` workers is a feeder thread that owns a
-    one-process pool; once that process has imported splic, the feeder
-    runs the same claim loop as the calling thread, with its pool, so only
-    the solve leaves this process.  Groups are claimed in order from one
-    queue.  A feeder whose process dies has its group processed here and
-    claims no more.  `--jobs 1` starts no thread and no process.
+    Every worker runs one claim loop over one queue, in group order.  The
+    calling thread is worker 0; the other `min(jobs, len(groups)) - 1`
+    are feeder threads, each owning a one-process pool: once its process
+    has imported splic, the feeder runs the loop with it, so only the
+    solve leaves this process.  A feeder whose process dies has its group
+    processed here and claims no more.  `--jobs 1` runs the loop in the
+    calling thread alone: no thread and no process.
     """
-    workers = min(jobs, len(groups))
-    if workers < 2:
-        return [process(group) for group in groups]
     import queue
-    from concurrent.futures import ThreadPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
+    feeders = min(jobs, len(groups)) - 1
     results = [None] * len(groups)
     claims = queue.SimpleQueue()
     for claim in enumerate(groups):
@@ -273,7 +270,7 @@ def _solve_groups(groups, process, jobs) -> list:
                 return
             try:
                 results[i] = process(group, pool)
-            except BrokenProcessPool:  # the worker died: process its group here
+            except BrokenExecutor:  # the worker died: process its group here
                 results[i] = process(group)
                 return
 
@@ -281,15 +278,16 @@ def _solve_groups(groups, process, jobs) -> list:
         with pool:
             try:  # a no-op round trip: the worker has imported splic
                 pool.submit(SplicConfig).result()
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 return
             run(pool)
 
-    with ThreadPoolExecutor(workers - 1) as executor:
-        feeders = [executor.submit(feed, _worker_pool()) for _ in range(workers - 1)]
+    # an executor starts a thread per task submitted, none before the first
+    with ThreadPoolExecutor(max(feeders, 1)) as executor:
+        tasks = [executor.submit(feed, _worker_pool()) for _ in range(feeders)]
         run()
-    for feeder in feeders:  # a feeder's error, raised once every feeder has stopped
-        feeder.result()
+    for task in tasks:  # a feeder's error, raised once every feeder has stopped
+        task.result()
     return results
 
 
@@ -302,9 +300,11 @@ def _defend_batch(args, cfg) -> int:
     calling process reads, noises, scores and writes every file; with
     `--jobs` above 1 only the solves of some groups run on worker
     processes (see `_solve_groups`), so the outputs do not depend on
-    `--jobs`.  A file that fails (unreadable, malformed, unsolvable) is
-    named on stderr and left out of the outputs and the summary; every
-    other file is still written, and the run exits 2.
+    `--jobs`.  Each file leaves one record, and the summary, the `error:`
+    lines and the exit code are read from the records in file order.  A
+    file that fails (unreadable, malformed, unsolvable, unscorable or
+    unwritable) is named on stderr and left out of the outputs and the
+    summary; every other file is still written, and the run exits 2.
     """
     in_dir = Path(args.input)
     if not in_dir.is_dir():
@@ -322,54 +322,45 @@ def _defend_batch(args, cfg) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def finish(path, completed):
-        """(summary row or None, error or None) after writing one output."""
-        try:
-            row = None
-            if ref_dir is not None:
-                quality = psnr(completed, read_image(ref_dir / path.name))
-                row = f"{path.name},{quality!r}"
-            _write_output(completed, out_dir / path.name, cfg)
-        except (ValueError, OSError) as exc:
-            return None, f"{path.name}: {exc}"
-        return row, None
-
     def process(group, pool=None):
-        """One (summary row or None, error or None) per file of `group`, and
-        whether the group converged; a group that fails to read or solve
-        is solved again one file at a time, so each failure is named.
-        With `pool`, the solves run on its worker process."""
+        """One (path, summary row or None, error or None, converged) record
+        per file of `group`; a group that fails to read or solve is solved
+        again one file at a time, so each failure is named.  With `pool`,
+        the solves run on its worker process."""
         try:
             planes, shapes = _read_stack(group, args, cfg)
             res = _defend_one(planes, cfg, pool)
         except (ValueError, OSError) as exc:
-            if len(group) == 1:
-                return [(None, f"{group[0].name}: {exc}")], False
-            parts = [process([path], pool) for path in group]
-            return [o for outcomes, _ in parts for o in outcomes], all(ok for _, ok in parts)
-        outcomes, start = [], 0
+            if len(group) > 1:
+                return [record for path in group for record in process([path], pool)]
+            return [(group[0], None, f"{group[0].name}: {exc}", False)]
+        records, start = [], 0
         for path, shape in zip(group, shapes):
             stop = start + (shape[0] if len(shape) == 3 else 1)
-            outcomes.append(finish(path, res.completed[start:stop].reshape(shape)))
-            start = stop
-        return outcomes, res.converged
+            completed, start = res.completed[start:stop].reshape(shape), stop
+            row = error = None
+            try:
+                if ref_dir is not None:
+                    row = f"{path.name},{psnr(completed, read_image(ref_dir / path.name))!r}"
+                _write_output(completed, out_dir / path.name, cfg)
+            except (ValueError, OSError) as exc:
+                row, error = None, f"{path.name}: {exc}"
+            records.append((path, row, error, res.converged))
+        return records
 
-    groups = _plan_groups(files)
-    results = _solve_groups(groups, process, args.jobs)
-
-    outcomes = {}
-    for group, (group_outcomes, _) in zip(groups, results):
-        outcomes.update(zip(group, group_outcomes))
-    errors = [outcomes[path][1] for path in files if outcomes[path][1] is not None]
+    results = _solve_groups(_plan_groups(files), process, args.jobs)
+    # `files` is sorted, so sorting by path puts the records in file order
+    records = sorted((r for group in results for r in group), key=lambda r: r[0])
+    errors = [error for _, _, error, _ in records if error is not None]
     if ref_dir is not None:
-        rows = [outcomes[path][0] for path in files if outcomes[path][1] is None]
+        rows = [row for _, row, error, _ in records if error is None]
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
         atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
         return EXIT_VALIDATION
-    return _exit_code(args, all(converged for _, converged in results))
+    return _exit_code(args, all(converged for *_, converged in records))
 
 
 def _sweep(cfg, name, flag, text) -> list[SplicConfig]:
@@ -395,12 +386,12 @@ def cmd_compare(args) -> int:
     if corrupt.ndim != 2:
         raise ValueError("compare works on single-channel images")
     clean = _read_reference(args.reference or args.input, corrupt)
+    # every mask is drawn, so every fraction checked, before the first solve
+    masks = [generate_mask(*corrupt.shape, c.anchor_fraction, c.seed) for c in runs]
     lines = ["fraction," + COMPARISON_CSV_HEADER]
-    for run_cfg in runs:
-        frac = run_cfg.anchor_fraction
-        mask = generate_mask(*corrupt.shape, frac, run_cfg.seed)
+    for run_cfg, mask in zip(runs, masks):
         records = compare_methods(clean, corrupt, mask, run_cfg, tau=args.tau, eta=args.eta)
-        lines += [f"{frac!r},{row}" for row in comparison_rows(records)]
+        lines += [f"{run_cfg.anchor_fraction!r},{row}" for row in comparison_rows(records)]
     atomic_write(args.output, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 

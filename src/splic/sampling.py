@@ -20,13 +20,18 @@ def generate_mask(m: int, n: int, p: float, seed: int) -> np.ndarray:
     """Exact-cardinality random mask: round_half_up(p*m*n) anchor cells.
 
     The count is exact rather than per-cell Bernoulli, which removes a
-    variance source from downstream experiments.
+    variance source from downstream experiments; a count of 0 is an error.
     """
     if m < 1 or n < 1:
         raise ValueError(f"mask shape must be positive, got {m}x{n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"anchor fraction p must be in (0, 1], got {p}")
     k = round_half_up(p * m * n)
+    if k == 0:
+        raise ValueError(
+            f"anchor_fraction {p} anchors 0 of {m * n} pixels; "
+            "a completion needs at least one"
+        )
     rng = np.random.default_rng(seed)
     idx = rng.permutation(m * n)[:k]
     bits = np.zeros(m * n, dtype=np.float64)

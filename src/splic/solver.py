@@ -321,11 +321,9 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     length and `converged` means every plane converged.
 
     Every finite input gets a result, in the caller's frame: a value that
-    exceeds the largest float there reads inf.  A mask with no anchor, or a
-    plane whose anchors are all zero, is rejected with a ValueError before
-    the first step.  With `clamp_output=False`, an anchor more than 2^1022
-    below its plane's peak is subnormal in the unit frame and is not
-    returned bit-exact.
+    exceeds the largest float there reads inf.  Anchors are returned as
+    given, bit for bit.  A mask with no anchor, or a plane whose anchors are
+    all zero, is rejected with a ValueError before the first step.
     """
     planes, stacked = _image_stack(x)
     k, m, n = planes.shape
@@ -385,9 +383,9 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     with np.errstate(over="ignore"):
         for surface in (final, low_rank):
             np.ldexp(surface, e[:, None, None], out=surface)
-    completed = final
-    if cfg.clamp_output:
-        completed = np.where(anchor, planes, np.clip(final, 0.0, 1.0))
+    # anchors from the input: one far below the peak is subnormal in the unit frame
+    targets = np.clip(final, 0.0, 1.0) if cfg.clamp_output else final
+    completed = np.where(anchor, planes, targets)
 
     if not stacked:
         completed, low_rank = completed[0], low_rank[0]
@@ -409,15 +407,15 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     second's (the restart is visible, per plane, as a delta jump).
     A (k, m, n) stack shares the mask across its planes and gives results
     shaped as `splic_complete` gives them for a stack.  Each pass needs an
-    anchor, so the mask must leave a target; both are checked before pass 1.
+    anchor, so the mask must leave a target; both are checked before pass 1
+    (`generate_mask` rejects a fraction that anchors no pixel).
     """
     arr = as_stack(x, "image")
     m, n = arr.shape[-2:]
     mask = generate_mask(m, n, cfg.anchor_fraction, cfg.seed)
-    count = int(mask.sum())
-    if not 0 < count < m * n:
+    if mask.all():
         raise ValueError(
-            f"anchor_fraction {cfg.anchor_fraction} anchors {count} of {m * n} "
+            f"anchor_fraction {cfg.anchor_fraction} anchors {m * n} of {m * n} "
             "pixels; two-pass mode needs at least one anchor and one target"
         )
     second_mask = complement(mask)

@@ -443,6 +443,36 @@ def test_sweep_list_is_checked_before_any_solve(tmp_path, scene_file, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
 
 
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["complete", "--anchor-fraction", "0.005"], ["--output", "o.pgm"]),
+        (
+            ["rank-sweep", "--ranks", "2", "--anchor-fraction", "0.005"],
+            ["--output-dir", "d", "--csv", "c.csv"],
+        ),
+        (["compare", "--anchor-fraction", "0.005"], ["--output", "c.csv"]),
+        (["compare", "--anchor-fraction", "0.5,0.005"], ["--output", "c.csv"]),
+    ],
+    ids=["complete", "rank-sweep", "compare", "compare-after-a-valid-fraction"],
+)
+def test_a_drawn_mask_without_an_anchor_names_its_fraction(tmp_path, monkeypatch, argv, outputs):
+    # validate_mask's "mask has no anchor pixel" named no flag, and compare
+    # solved the 0.5 run before it reached 0.005
+    write_image(make_test_image(0, 8), tmp_path / "small.pgm")
+    solves = _count_calls(
+        monkeypatch, "splic_complete", cli_module, metrics_module, baselines_module
+    )
+    monkeypatch.chdir(tmp_path)
+    code, err = run_cli(*argv, "--input", "small.pgm", *outputs)
+    assert code == 2
+    assert err == (
+        "error: anchor_fraction 0.005 anchors 0 of 64 pixels; a completion needs at least one\n"
+    )
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.pgm"]
+
+
 def test_rank_sweep_outputs_and_csv(tmp_path, scene_file):
     out_dir = tmp_path / "sweep"
     csv_path = tmp_path / "sweep.csv"
@@ -1028,3 +1058,42 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
         assert lines[0].startswith("error: img1b.pgm: ") and "not an integer" in lines[0]
         assert lines[1].startswith("error: img2b.pgm: ") and "identically zero" in lines[1]
         assert out == clean
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fault", ["output-is-a-directory", "reference-of-another-shape"])
+def test_defend_batch_names_files_that_fail_after_their_solve(tmp_path, monkeypatch, fault, jobs):
+    # no test reached a failure between a group's solve and its outputs
+    in_dir, ref_dir = _same_shape_dir(tmp_path)
+    code, _, clean = _batch_outputs(in_dir, ref_dir, tmp_path / "clean", "--maxiter", "21")
+    assert code == 0
+    failing = ["img1.ppm", "img4.pgm"]  # each inside a group of several files
+    groups = _plan_groups(sorted(in_dir.iterdir()))
+    assert all(len(g) > 1 for g in groups if {p.name for p in g} & set(failing))
+    out_dir = tmp_path / "out"
+    for name in failing:
+        if fault == "output-is-a-directory":
+            (out_dir / name).mkdir(parents=True)
+        else:  # caught only by psnr, after the solve
+            write_image(make_test_image(0, 16), ref_dir / name)
+    if jobs == "1":
+        def started(*args):
+            raise AssertionError("--jobs 1 started a thread or a process")
+
+        monkeypatch.setattr(threading.Thread, "start", started)
+        monkeypatch.setattr(cli_module, "_worker_pool", started)
+    code, err = run_cli(
+        "defend", "--input", in_dir, "--output", out_dir, "--batch",
+        "--reference-dir", ref_dir, "--seed", "4", "--maxiter", "21", "--jobs", jobs,
+    )
+    assert code == 2
+    lines = err.splitlines()
+    assert [line.split(":")[1].strip() for line in lines] == failing
+    reason = "Is a directory" if fault == "output-is-a-directory" else "shape mismatch"
+    assert all(reason in line for line in lines)
+    written = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+    rows = clean.pop("summary.csv").decode().splitlines()
+    assert written.pop("summary.csv").decode().splitlines() == [
+        row for row in rows if row.split(",")[0] not in failing
+    ]
+    assert written == {name: data for name, data in clean.items() if name not in failing}

@@ -31,10 +31,15 @@ def test_determinism():
 )
 @settings(deadline=None, max_examples=80)
 def test_exact_cardinality(m, n, p, seed):
+    count = round_half_up(p * m * n)
+    if count == 0:  # rejected, naming the fraction and the count
+        with pytest.raises(ValueError, match=f"anchor_fraction {p} anchors 0 of {m * n} pixels"):
+            generate_mask(m, n, p, seed)
+        return
     mask = generate_mask(m, n, p, seed)
     assert mask.shape == (m, n)
     assert set(np.unique(mask)) <= {0.0, 1.0}
-    assert int(mask.sum()) == round_half_up(p * m * n)
+    assert int(mask.sum()) == count
 
 
 def test_fraction_out_of_range_rejected():

@@ -256,6 +256,7 @@ def test_stop_is_scale_free_across_powers_of_two():
 
 NO_ANCHOR = "mask has no anchor pixel; a completion needs at least one"
 TWO_PASS = "two-pass mode needs at least one anchor and one target"
+DRAWN_NO_ANCHOR = "a completion needs at least one"
 
 
 def test_complement_of_full_mask_invalid_for_solving(rng):
@@ -302,7 +303,9 @@ def test_alternated_checks_both_masks_before_the_first_solve(
     )
     x = make_test_image(0, side)
     cfg = SplicConfig(anchor_fraction=fraction)
-    message = f"anchor_fraction {fraction} anchors {anchors} of {side * side} pixels; {TWO_PASS}"
+    # generate_mask rejects a fraction that anchors nothing, before it draws
+    rule = TWO_PASS if anchors else DRAWN_NO_ANCHOR
+    message = f"anchor_fraction {fraction} anchors {anchors} of {side * side} pixels; {rule}"
     with pytest.raises(ValueError, match=re.escape(message)):
         splic_alternated(x, cfg)
     assert calls == []
@@ -327,6 +330,21 @@ def test_every_iterate_holds_the_first_iterates_anchors(tv_mode, stacked):
     first = steps[0][:, anchors]
     for planes, step in zip(live, steps):
         assert step[:, anchors].tobytes() == first[planes].tobytes()
+
+
+@pytest.mark.parametrize("clamp_output", [False, True])
+def test_anchors_come_back_bit_exact_even_subnormal_in_the_unit_frame(clamp_output):
+    # without the clamp the anchors were scaled back from the unit frame,
+    # where one 2^1030 below the peak is subnormal: 1.0988018955464378e-307
+    # came back as 1.0988018955464388e-307
+    x = make_test_image(0, 16) * 2.0**10
+    mask = generate_mask(16, 16, 0.5, 1)
+    anchors = mask == 1.0
+    i, j = np.argwhere(anchors)[0]
+    x[i, j] = np.ldexp(1.2345678901234567, -1020)
+    cfg = SplicConfig(maxiter=7, clamp_output=clamp_output)
+    res = splic_complete(x, mask, cfg)
+    assert res.completed[anchors].tobytes() == x[anchors].tobytes()
 
 
 def test_shape_mismatch_rejected(rng):
