@@ -9,17 +9,13 @@ what the TV term buys on noisy inputs (`srf` is the solver without it).
 """
 
 import argparse
+import dataclasses
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
-from splic.metrics import (
-    COMPARISON_CSV_HEADER,
-    METHOD_NAMES,
-    compare_methods,
-    comparison_rows,
-)
+from splic.image_io import write_csv
+from splic.metrics import COMPARISON_CSV_HEADER, METHOD_NAMES, compare_methods
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig
 from splic.testimages import add_uniform_noise, make_test_image
@@ -37,7 +33,7 @@ def main():
 
     fractions = [float(tok) for tok in args.fractions.split(",")]
     cfg = SplicConfig()
-    lines = ["image,fraction," + COMPARISON_CSV_HEADER]
+    rows = []
     sums = defaultdict(list)
     for i in range(args.count):
         clean = make_test_image(i, args.size)
@@ -45,10 +41,10 @@ def main():
         for frac in fractions:
             mask = generate_mask(args.size, args.size, frac, args.seed + i)
             records = compare_methods(clean, noisy, mask, cfg)
-            lines += [f"{i},{frac!r},{row}" for row in comparison_rows(records)]
+            rows += [(i, frac, *dataclasses.astuple(rec)) for rec in records]
             for rec in records:
                 sums[(frac, rec.method)].append(rec.psnr_db)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_csv(args.out, "image,fraction," + COMPARISON_CSV_HEADER, rows)
 
     print("mean PSNR (dB) by fraction and method:")
     print("fraction  " + "  ".join(f"{m:>11}" for m in METHOD_NAMES))

@@ -18,17 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .image_io import (
-    atomic_write,
     config_to_dict,
     read_config_json,
     read_header,
     read_image,
     read_mask,
+    write_csv,
     write_image,
     write_trace_csv,
 )
 from .linalg import numerical_rank
-from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, comparison_rows, psnr
+from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, psnr
 from .sampling import generate_mask, validate_mask
 from .solver import FIELD_TYPES, SplicConfig, config_key, splic_alternated, splic_complete
 from .testimages import add_uniform_noise, check_amplitude
@@ -341,7 +341,7 @@ def _defend_batch(args, cfg) -> int:
             row = error = None
             try:
                 if ref_dir is not None:
-                    row = f"{path.name},{psnr(completed, read_image(ref_dir / path.name))!r}"
+                    row = (path.name, psnr(completed, read_image(ref_dir / path.name)))
                 _write_output(completed, out_dir / path.name, cfg)
             except (ValueError, OSError) as exc:
                 row, error = None, f"{path.name}: {exc}"
@@ -355,7 +355,7 @@ def _defend_batch(args, cfg) -> int:
     if ref_dir is not None:
         rows = [row for _, row, error, _ in records if error is None]
         summary = Path(args.summary) if args.summary else out_dir / "summary.csv"
-        atomic_write(summary, ("\n".join(["file,psnr_db", *rows]) + "\n").encode())
+        write_csv(summary, "file,psnr_db", rows)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -388,11 +388,11 @@ def cmd_compare(args) -> int:
     clean = _read_reference(args.reference or args.input, corrupt)
     # every mask is drawn, so every fraction checked, before the first solve
     masks = [generate_mask(*corrupt.shape, c.anchor_fraction, c.seed) for c in runs]
-    lines = ["fraction," + COMPARISON_CSV_HEADER]
+    rows = []
     for run_cfg, mask in zip(runs, masks):
         records = compare_methods(clean, corrupt, mask, run_cfg, tau=args.tau, eta=args.eta)
-        lines += [f"{run_cfg.anchor_fraction!r},{row}" for row in comparison_rows(records)]
-    atomic_write(args.output, ("\n".join(lines) + "\n").encode())
+        rows += [(run_cfg.anchor_fraction, *dataclasses.astuple(r)) for r in records]
+    write_csv(args.output, "fraction," + COMPARISON_CSV_HEADER, rows)
     return EXIT_OK
 
 
@@ -408,16 +408,16 @@ def cmd_rank_sweep(args) -> int:
     mask = _mask(args, cfg, image.shape)
     out_dir = Path(args.output_dir)
     stem = Path(args.input).stem
-    lines = ["rank,psnr_db,numerical_rank,converged"]
+    rows = []
     converged = True
     for run_cfg in runs:
         res = splic_complete(image, mask, run_cfg)
         rank_out = numerical_rank(res.low_rank, RANK_TOL)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
-        lines.append(f"{run_cfg.r},{quality!r},{rank_out},{int(res.converged)}")
+        rows.append((run_cfg.r, quality, rank_out, int(res.converged)))
         _write_output(res.low_rank, out_dir / f"{stem}_r{run_cfg.r}.pgm", run_cfg)
         converged &= res.converged
-    atomic_write(args.csv, ("\n".join(lines) + "\n").encode())
+    write_csv(args.csv, "rank,psnr_db,numerical_rank,converged", rows)
     return _exit_code(args, converged)
 
 

@@ -1,4 +1,4 @@
-"""Bit-exact file interchange: PGM/PPM images, trace CSVs, JSON configs.
+"""Bit-exact file interchange: PGM/PPM images, CSV tables, JSON configs.
 
 Only the uncompressed netpbm formats are supported (P2/P5 greyscale,
 P3/P6 colour, maxval up to 65535) so that test fixtures can be written
@@ -10,7 +10,9 @@ a structured `PnmParseError` carrying the offending byte offset.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -172,7 +174,8 @@ def encode_image(
     Values must lie in [0, 1] unless clamp is set; NaN is rejected either
     way.  fmt defaults to the binary format matching the array's shape (P5
     for a plane, P6 for a 3-channel stack).  Comment lines go right after
-    the magic number.
+    the magic number; a comment must not hold a line break (`\\n` or `\\r`),
+    since the decoder ends a comment there.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
@@ -183,6 +186,9 @@ def encode_image(
         raise ValueError(f"expected (m, n) or (3, m, n), got shape {arr.shape}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"comment {comment!r} holds a line break")
     # clipping would keep a NaN, which has no pixel value
     if np.isnan(planes).any():
         raise ValueError("pixel values contain NaN")
@@ -250,11 +256,15 @@ def read_mask(path) -> np.ndarray:
     return arr
 
 
-def _trace_csv(trace: ConvergenceTrace) -> bytes:
-    # values from .tolist() print as Python numbers, not numpy scalars
-    columns = (trace.t, trace.delta, trace.rel_change, trace.srf, trace.tv)
-    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    return "".join(line + "\n" for line in [TRACE_CSV_HEADER, *rows]).encode("ascii")
+def write_csv(path, header: str, rows):
+    """Write a CSV table atomically: the `header` line as given, then each
+    row by `csv.writer`, which prints a float as `repr` does (so infinity
+    is the literal `inf`) and quotes only a field that holds a comma, a
+    quote or a line break; every line ends in `\\n`."""
+    text = io.StringIO()
+    text.write(header + "\n")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write(path, text.getvalue().encode())
 
 
 def write_trace_csv(trace: ConvergenceTrace, path):
@@ -263,11 +273,12 @@ def write_trace_csv(trace: ConvergenceTrace, path):
     plane i's rows to `<stem>.c<i><suffix>`."""
     path = Path(path)
     planes = np.unique(trace.plane).tolist()
+    files = [(path, trace)]
     if len(planes) > 1:
-        for i in planes:
-            atomic_write(path.with_suffix(f".c{i}{path.suffix}"), _trace_csv(trace.for_plane(i)))
-    else:
-        atomic_write(path, _trace_csv(trace))
+        files = [(path.with_suffix(f".c{i}{path.suffix}"), trace.for_plane(i)) for i in planes]
+    for target, part in files:
+        # every column but `plane`; .tolist() gives Python numbers, not numpy scalars
+        write_csv(target, TRACE_CSV_HEADER, zip(*(c.tolist() for c in part.columns()[1:])))
 
 
 def config_to_dict(cfg: SplicConfig) -> dict:

@@ -99,10 +99,3 @@ def compare_methods(
             )
         )
     return results
-
-
-def comparison_rows(results) -> list[str]:
-    """CSV rows (no header) for a list of MethodResult."""
-    return [
-        f"{r.method},{r.psnr_db!r},{r.rank},{r.iters},{r.seconds!r}" for r in results
-    ]

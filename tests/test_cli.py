@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splic.baselines as baselines_module
 import splic.cli as cli_module
@@ -698,6 +700,31 @@ def test_defend_batch_output_independent_of_jobs(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_defend_batch_summary_quotes_only_the_names_that_need_it(tmp_path, jobs):
+    # rows were joined by hand, so "a,b.pgm" gave a row of three fields
+    in_dir, ref_dir = tmp_path / "in", tmp_path / "ref"
+    in_dir.mkdir()
+    ref_dir.mkdir()
+    names = ["a,b.pgm", "img.pgm", 'q"x.pgm']
+    for i, name in enumerate(names):
+        write_image(make_test_image(i, 16), in_dir / name)
+        write_image(make_test_image(i, 16), ref_dir / name)
+    code, err = run_cli(
+        "defend", "--batch", "--input", in_dir, "--output", tmp_path / "out",
+        "--reference-dir", ref_dir, "--jobs", jobs, "--maxiter", "14",
+        "--add-uniform-noise", "0.04",
+    )
+    assert code == 0, err
+    text = (tmp_path / "out" / "summary.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["file", "psnr_db"]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(len(row) == 2 for row in rows)
+    # a name that needs no quoting keeps its bytes: unquoted, the PSNR as repr prints it
+    assert text.splitlines()[2] == f"img.pgm,{float(rows[2][1])!r}"
+
+
 def test_defend_batch_under_python_m_writes_nothing_to_stderr(tmp_path):
     # each worker printed runpy's "'splic.cli' found in sys.modules"
     # RuntimeWarning, since the forkserver had preloaded splic.cli
@@ -1034,6 +1061,51 @@ def test_defend_batch_groups_byte_identical_to_per_file_runs(tmp_path):
         )
         assert code == 0
         assert out == {**per_file, "summary.csv": summary}
+
+
+_BATCH_FILES = st.lists(
+    st.tuples(
+        st.sampled_from([(8, 8), (12, 16), (16, 10)]),
+        st.booleans(),  # colour
+        st.booleans(),  # ASCII
+    ),
+    min_size=3,
+    max_size=6,
+)
+
+
+@given(files=_BATCH_FILES, jobs=st.sampled_from(["1", "2", "3"]))
+@settings(deadline=None, max_examples=6)
+def test_defend_batch_output_independent_of_jobs_and_grouping(tmp_path_factory, files, jobs):
+    tmp = tmp_path_factory.mktemp("batch")
+    in_dir, ref_dir = tmp / "in", tmp / "ref"
+    in_dir.mkdir()
+    ref_dir.mkdir()
+    for i, (shape, colour, ascii) in enumerate(files):
+        scene = make_test_image(i, shape)
+        img = np.stack([scene, scene ** 2, 1.0 - scene]) if colour else scene
+        name = f"img{i}" + (".ppm" if colour else ".pgm")
+        write_image(img, in_dir / name, fmt=("P3" if colour else "P2") if ascii else None)
+        write_image(img, ref_dir / name)
+    flags = ("--maxiter", "14", "--add-uniform-noise", "0.04")
+    expected, rows = {}, [b"file,psnr_db"]
+    for path in sorted(in_dir.iterdir()):
+        one_in, one_ref = tmp / "one" / path.stem, tmp / "one_ref" / path.stem
+        one_in.mkdir(parents=True)
+        one_ref.mkdir(parents=True)
+        (one_in / path.name).write_bytes(path.read_bytes())
+        (one_ref / path.name).write_bytes((ref_dir / path.name).read_bytes())
+        code, err, out = _batch_outputs(one_in, one_ref, tmp / "one_out" / path.stem, *flags)
+        assert code == 0, err
+        expected[path.name] = out[path.name]
+        rows += out["summary.csv"].splitlines()[1:]
+    expected["summary.csv"] = b"\n".join(rows) + b"\n"
+    for run_jobs in sorted({"1", jobs}):
+        code, err, out = _batch_outputs(
+            in_dir, ref_dir, tmp / f"out{run_jobs}", "--jobs", run_jobs, *flags
+        )
+        assert code == 0, err
+        assert out == expected, run_jobs
 
 
 def test_defend_batch_isolates_failures_inside_a_group(tmp_path):

@@ -58,6 +58,30 @@ def test_header_comments_tolerated():
     assert np.allclose(m, [[0.0, 1.0], [128 / 255, 64 / 255]])
 
 
+@pytest.mark.parametrize("comment", ["hello\nworld", "hello\rworld", "end\n"])
+def test_encode_rejects_a_comment_with_a_line_break(comment):
+    # the decoder ends a comment at a line break, so the rest of it once
+    # became the width token: "width is not an integer: b'world'"
+    with pytest.raises(ValueError, match="holds a line break") as err:
+        encode_image(np.zeros((2, 2)), comments=[comment])
+    assert repr(comment) in str(err.value)
+
+
+_ONE_LINE = st.characters(codec="ascii", exclude_characters="\n\r")
+
+
+@given(
+    st.lists(st.text(_ONE_LINE, max_size=12), max_size=3),
+    st.sampled_from(["P2", "P5", "P3", "P6"]),
+)
+@settings(deadline=None, max_examples=60)
+def test_comments_without_line_breaks_round_trip(comments, fmt):
+    shape = (3, 2, 3) if fmt in ("P3", "P6") else (2, 3)
+    img = np.arange(np.prod(shape)).reshape(shape) / 17.0
+    plain = decode_image(encode_image(img, fmt))
+    assert np.array_equal(decode_image(encode_image(img, fmt, comments=comments)), plain)
+
+
 def test_bad_maxval_rejected():
     with pytest.raises(PnmParseError):
         decode_image(b"P2\n2 2\n70000\n0 0 0 0\n")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,12 +6,9 @@ import pytest
 
 import splic.metrics as metrics_module
 from conftest import balanced_low_rank
-from splic.metrics import (
-    METHOD_NAMES,
-    compare_methods,
-    comparison_rows,
-    psnr,
-)
+from splic.cli import main
+from splic.image_io import write_image
+from splic.metrics import METHOD_NAMES, compare_methods, psnr
 from splic.linalg import svd
 from splic.sampling import generate_mask
 from splic.solver import SplicConfig
@@ -119,9 +117,13 @@ def test_compare_methods_checks_the_mask_before_any_solve(monkeypatch):
         compare_methods(clean, clean, np.full((16, 16), 0.5), SplicConfig(), tau=0.1)
 
 
-def test_comparison_rows_serialize_inf_as_literal():
-    clean = _identity_limit_image()
-    records = compare_methods(clean, clean, np.ones((32, 32)), SplicConfig(), tau=0.0)
-    rows = comparison_rows(records)
-    assert any(",inf," in row for row in rows)
-    assert all(row.count(",") == 4 for row in rows)
+def test_compare_csv_serializes_inf_as_literal(tmp_path):
+    # every pixel anchored and tau = 0: the identity limit, so a PSNR is infinite
+    scene, out = tmp_path / "scene.pgm", tmp_path / "cmp.csv"
+    write_image(_identity_limit_image(), scene)
+    argv = ["compare", "--input", scene, "--output", out, "--anchor-fraction", "1", "--tau", "0"]
+    assert main([str(a) for a in argv]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == len(METHOD_NAMES)
+    assert any(",inf," in line for line in lines)
+    assert all(len(row) == 1 + 5 for row in csv.reader(lines))
