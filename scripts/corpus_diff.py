@@ -54,7 +54,6 @@ TINY_SCENES = (0, 1)
 TINY_SHAPES = ((16, 16), (24, 40))
 NOISES = (0.0, 0.05, 0.1)
 ALTERNATED_MAX_PIXELS = 128 * 128
-RANK_TOL = 1e-6
 # a case key is its axes joined by SEP, in this order; an array's key in
 # the archive adds the field name
 AXES = ("kind", "tv", "config", "size", "noise", "scene")
@@ -76,6 +75,7 @@ def _solves(shape, noise, scene):
     # splic is imported only here and in `run`, so `diff` needs numpy alone
     from splic.baselines import soft_impute_with_count, usvt
     from splic.linalg import numerical_rank
+    from splic.metrics import RANK_TOL
     from splic.sampling import generate_mask
     from splic.solver import SplicConfig, splic_alternated, splic_complete
     from splic.testimages import add_uniform_noise, make_test_image
@@ -118,8 +118,7 @@ def _solves(shape, noise, scene):
                 )
 
     def soft_impute():
-        tau = 0.05 * float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
-        z, iters = soft_impute_with_count(x, mask, tau)
+        z, iters = soft_impute_with_count(x, mask)
         return {"completed": z, "iterations": iters, "rank": numerical_rank(z, RANK_TOL)}
 
     def one_shot():

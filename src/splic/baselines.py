@@ -24,13 +24,14 @@ def soft_threshold_singular(f: SvdFactors, tau: float) -> np.ndarray:
     return reconstruct(f, np.maximum(f.sigma - tau, 0.0))
 
 
-def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1e-7):
+def soft_impute_with_count(x, mask, tau: float | None = None, iters: int = 200, tol: float = 1e-7):
     """Fixed-point completion Z <- SVT_tau(M*X + (1-M)*Z).
 
     Starts from the zero-filled observed matrix and stops when the
     normalized change drops below tol or the budget runs out; returns the
     completion and the number of iterations performed.  Observed
     entries of the result are NOT forced back to X (soft completion).
+    tau defaults to 0.05 times the top singular value of that start.
 
     Each SVT needs only the triplets with sigma > tau.  The first
     iteration takes them from the rank path of `svd` at full rank, which
@@ -51,6 +52,8 @@ def soft_impute_with_count(x, mask, tau: float, iters: int = 200, tol: float = 1
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     z = np.where(observed, arr, 0.0)
+    if tau is None:
+        tau = 0.05 * float(np.linalg.norm(z, 2))
     basis = None
     for done in range(1, iters + 1):
         f, basis = _svt_triplets(np.where(observed, arr, z), tau, basis)
@@ -80,7 +83,10 @@ def _svt_triplets(filled, tau, basis):
     return f.top(kept), (f.V[:, :q] if q is not None and q <= f.l else None)
 
 
-def usvt(x, mask, eta: float = 0.01) -> np.ndarray:
+USVT_ETA = 0.01  # the margin of `usvt`'s threshold, and every caller's default eta
+
+
+def usvt(x, mask, eta: float = USVT_ETA) -> np.ndarray:
     """One-shot spectral completion.
 
     Scales the zero-filled observation by the inverse observed fraction,

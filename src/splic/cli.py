@@ -28,7 +28,7 @@ from .image_io import (
     write_trace_csv,
 )
 from .linalg import numerical_rank
-from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, compare_methods, psnr
+from .metrics import COMPARISON_CSV_HEADER, RANK_TOL, USVT_ETA, compare_methods, psnr
 from .sampling import generate_mask, validate_mask
 from .solver import FIELD_TYPES, SplicConfig, config_key, splic_alternated, splic_complete
 from .testimages import add_uniform_noise, check_amplitude
@@ -187,14 +187,13 @@ def _plan_groups(files) -> list[list[Path]]:
     A group holds files of one (m, n), in the order given; its planes
     total at most as many pixels as the largest file of the batch, so no
     stack is bigger than one file alone.  A file whose header cannot be
-    read, or that is smaller than the c * m * n bytes its samples need at
-    1 byte each, forms a group of its own and does not set that bound.
+    read, or that `read_header` finds too short for its payload, forms a
+    group of its own and does not set that bound.
     """
     headers = {}
     for path in files:
         try:
-            c, m, n = read_header(path)
-            fits = path.stat().st_size >= c * m * n
+            c, m, n, fits = read_header(path)
         except (ValueError, OSError):
             fits = False
         headers[path] = (c, m, n) if fits else None
@@ -459,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the config's anchor_fraction)",
     )
     p.add_argument("--tau", type=float, default=None, help="soft-impute threshold")
-    p.add_argument("--eta", type=float, default=0.01, help="one-shot threshold margin")
+    p.add_argument("--eta", type=float, default=USVT_ETA, help="one-shot threshold margin")
     _solver_flags(p, with_mask=False, with_fraction=False)
     p.set_defaults(func=cmd_compare)
 

@@ -117,12 +117,32 @@ def _parse_header(data: bytes) -> tuple[bytes, int, int, int, int]:
     return magic, width, height, maxval, pos
 
 
-def read_header(path) -> tuple[int, int, int]:
-    """`(channels, m, n)` of a PGM/PPM file, from its header parsed as
-    `decode_image` parses it, so any `PnmParseError` (message and offset)
-    is the one `decode_image` gives; the payload is not decoded."""
-    magic, width, height, _, _ = _parse_header(Path(path).read_bytes())
-    return _MAGIC_CHANNELS[magic], height, width
+def _sample_dtype(maxval: int) -> np.dtype:
+    """A binary payload's sample type: 1 byte, or 2 big-endian when maxval > 255."""
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
+
+
+def _payload_span(magic: bytes, width: int, height: int, maxval: int, end: int):
+    """`(start, need)`: where the payload after a header ending at `end`
+    starts, and its fewest bytes: c * m * n samples of `_sample_dtype`
+    after the one whitespace byte if binary, else a separator and a digit
+    per sample."""
+    count = _MAGIC_CHANNELS[magic] * width * height
+    if magic in _BINARY_MAGICS:
+        return end + 1, count * _sample_dtype(maxval).itemsize
+    return end, 2 * count
+
+
+def read_header(path) -> tuple[int, int, int, bool]:
+    """`(channels, m, n, fits)` of a PGM/PPM file, from its header parsed
+    as `decode_image` parses it, so any `PnmParseError` (message and
+    offset) is the one `decode_image` gives; the payload is not decoded.
+    A file without room for the smallest payload its header needs
+    (`_payload_span`) cannot decode, and gets `fits` False."""
+    data = Path(path).read_bytes()
+    magic, width, height, maxval, end = _parse_header(data)
+    start, need = _payload_span(magic, width, height, maxval, end)
+    return _MAGIC_CHANNELS[magic], height, width, len(data) >= start + need
 
 
 def decode_image(data: bytes) -> np.ndarray:
@@ -135,22 +155,20 @@ def decode_image(data: bytes) -> np.ndarray:
         # exactly one whitespace byte separates the header from the payload
         if not data[pos : pos + 1].isspace():
             raise PnmParseError("missing whitespace before binary payload", pos)
-        payload_at = pos + 1
-        bytes_per = 2 if maxval > 255 else 1
-        need = count * bytes_per
+        payload_at, need = _payload_span(magic, width, height, maxval, pos)
         payload = data[payload_at : payload_at + need]
         if len(payload) < need:
             raise PnmTruncatedError(
                 f"payload needs {need} bytes, found {len(payload)}",
                 payload_at + len(payload),
             )
-        dtype = ">u2" if bytes_per == 2 else np.uint8
+        dtype = _sample_dtype(maxval)
         samples = np.frombuffer(payload, dtype=dtype, count=count).astype(np.int64)
         if np.any(samples > maxval):
             bad = int(np.argmax(samples > maxval))
             raise PnmParseError(
                 f"sample {samples[bad]} exceeds maxval {maxval}",
-                payload_at + bad * bytes_per,
+                payload_at + bad * dtype.itemsize,
             )
     else:
         samples = _ascii_samples(data, pos, count, maxval)
@@ -174,8 +192,9 @@ def encode_image(
     Values must lie in [0, 1] unless clamp is set; NaN is rejected either
     way.  fmt defaults to the binary format matching the array's shape (P5
     for a plane, P6 for a 3-channel stack).  Comment lines go right after
-    the magic number; a comment must not hold a line break (`\\n` or `\\r`),
-    since the decoder ends a comment there.
+    the magic number; a comment must be ASCII, as the header is, and must
+    not hold a line break (`\\n` or `\\r`), since the decoder ends a
+    comment there.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
@@ -189,6 +208,8 @@ def encode_image(
     for comment in comments:
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"comment {comment!r} holds a line break")
+        if not comment.isascii():
+            raise ValueError(f"comment {comment!r} holds a non-ASCII character")
     # clipping would keep a NaN, which has no pixel value
     if np.isnan(planes).any():
         raise ValueError("pixel values contain NaN")
@@ -218,8 +239,7 @@ def encode_image(
 
     interleaved = quant.transpose(1, 2, 0).reshape(-1)
     if magic in _BINARY_MAGICS:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        return head + interleaved.astype(dtype).tobytes()
+        return head + interleaved.astype(_sample_dtype(maxval)).tobytes()
     # 16 samples per line; Python ints print faster than numpy scalars
     samples = list(map(str, interleaved.tolist()))
     body = "\n".join(" ".join(samples[i : i + 16]) for i in range(0, len(samples), 16))

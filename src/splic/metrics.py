@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import check_nonnegative, soft_impute_with_count, srf_only, usvt
-from .linalg import numerical_rank
+from .baselines import USVT_ETA, check_nonnegative, soft_impute_with_count, srf_only, usvt
+from .linalg import as_matrix, numerical_rank
 from .sampling import validate_mask
 from .solver import SplicConfig, splic_complete
 
@@ -54,22 +54,23 @@ def compare_methods(
     mask,
     cfg: SplicConfig,
     tau: float | None = None,
-    eta: float = 0.01,
+    eta: float = USVT_ETA,
 ) -> list[MethodResult]:
     """Run all four completers on (x_corrupt, mask) and score against x_clean.
 
-    tau defaults to 0.05 times the top singular value of the masked input;
-    the mask, tau and eta are checked before the first method runs.
-    Ranks of the two solver-based methods are measured on their rank-
-    reduced surface; baseline ranks are measured on the returned matrix.
+    tau=None leaves soft-impute its own default threshold.  Both images
+    (finite, 2-D, of one shape), the mask and a given tau and eta are
+    checked before the first method runs.  Ranks of the two solver-based
+    methods are measured on their rank-reduced surface; baseline ranks
+    are measured on the returned matrix.
     """
-    x_clean = np.asarray(x_clean, dtype=np.float64)
-    x_corrupt = np.asarray(x_corrupt, dtype=np.float64)
-    anchor = validate_mask(mask, x_corrupt.shape)
-    if tau is None:
-        masked = np.where(anchor, x_corrupt, 0.0)
-        tau = 0.05 * float(np.linalg.norm(masked, 2))
-    check_nonnegative("tau", tau)
+    x_corrupt = as_matrix(x_corrupt, "image")
+    x_clean = as_matrix(x_clean, "reference")
+    if x_clean.shape != x_corrupt.shape:
+        raise ValueError(f"reference shape {x_clean.shape} != image shape {x_corrupt.shape}")
+    validate_mask(mask, x_corrupt.shape)
+    if tau is not None:
+        check_nonnegative("tau", tau)
     check_nonnegative("eta", eta)
 
     def solved(res):
@@ -89,13 +90,6 @@ def compare_methods(
     for method, call in zip(METHOD_NAMES, calls):
         start = time.perf_counter()
         completed, surface, iters = call()
-        results.append(
-            MethodResult(
-                method=method,
-                psnr_db=psnr(completed, x_clean),
-                rank=numerical_rank(surface, RANK_TOL),
-                iters=iters,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        quality, rank = psnr(completed, x_clean), numerical_rank(surface, RANK_TOL)
+        results.append(MethodResult(method, quality, rank, iters, time.perf_counter() - start))
     return results

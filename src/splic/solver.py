@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import numbers
 import typing
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -408,7 +408,10 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     A (k, m, n) stack shares the mask across its planes and gives results
     shaped as `splic_complete` gives them for a stack.  Each pass needs an
     anchor, so the mask must leave a target; both are checked before pass 1
-    (`generate_mask` rejects a fraction that anchors no pixel).
+    (`generate_mask` rejects a fraction that anchors no pixel).  A plane
+    whose pass-1 targets all come out 0 (clamped, or below the smallest
+    float) leaves pass 2 no nonzero anchor: 0 is then its fixed point, so
+    both its surfaces are 0, it takes no pass-2 step, and it converged.
     """
     arr = as_stack(x, "image")
     m, n = arr.shape[-2:]
@@ -420,12 +423,22 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
         )
     second_mask = complement(mask)
     first = splic_complete(arr, mask, cfg)
-    # free the first pass's low-rank surface, unused, before the second pass
-    first = replace(first, low_rank=None)
-    second = splic_complete(first.completed, second_mask, cfg)
+    parts, converged = [first.trace.columns()], first.converged
+    planes = first.completed.reshape((-1, m, n))
+    del first  # its low-rank surface, unused, is freed before the second pass
+    # each plane's pass-2 anchors, and 0 elsewhere: the result of a plane
+    # whose anchors are all 0
+    completed, low_rank = np.where(second_mask == 1.0, planes, 0.0), np.zeros_like(planes)
+    live = np.flatnonzero(completed.any(axis=(1, 2)))
+    if live.size:
+        second = splic_complete(planes[live], second_mask, cfg)
+        completed[live], low_rank[live] = second.completed, second.low_rank
+        plane, *columns = second.trace.columns()
+        parts.append((live[plane], *columns))
+        converged &= second.converged
     return CompletionResult(
-        completed=second.completed,
-        low_rank=second.low_rank,
-        trace=_concat([first.trace.columns(), second.trace.columns()]),
-        converged=first.converged and second.converged,
+        completed=completed.reshape(arr.shape),
+        low_rank=low_rank.reshape(arr.shape),
+        trace=_concat(parts),
+        converged=converged,
     )

@@ -113,8 +113,18 @@ def _lapack_soft_impute(x, mask, tau, iters=200, tol=1e-7):
 
 
 def _default_tau(x, mask):
-    # as `compare_methods` sets it
+    # as `soft_impute_with_count` sets it when given no tau
     return 0.05 * float(np.linalg.norm(np.where(mask == 1.0, x, 0.0), 2))
+
+
+def test_soft_impute_default_tau_is_a_twentieth_of_the_zero_filled_top_sigma():
+    # the default once lived in `compare_methods` and in corpus_diff.py
+    x = add_uniform_noise(make_test_image(1, 48), 0.05, 3)
+    mask = generate_mask(48, 48, 0.5, 4)
+    z, count = soft_impute_with_count(x, mask)
+    z_given, count_given = soft_impute_with_count(x, mask, _default_tau(x, mask))
+    assert count == count_given
+    assert z.tobytes() == z_given.tobytes()
 
 
 def _assert_matches_lapack(x, mask, tau, monkeypatch):

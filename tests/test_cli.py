@@ -20,7 +20,7 @@ import splic.baselines as baselines_module
 import splic.cli as cli_module
 import splic.metrics as metrics_module
 from splic.cli import _build_config, _cfg_hash, _plan_groups, build_parser, main
-from splic.image_io import read_image, write_image, write_trace_csv
+from splic.image_io import encode_image, read_image, write_image, write_trace_csv
 from splic.linalg import numerical_rank
 from splic.metrics import psnr
 from splic.sampling import generate_mask
@@ -1033,6 +1033,36 @@ def test_plan_groups_ignore_a_header_the_file_cannot_hold(tmp_path):
     assert [tmp_path / "huge.pgm"] in groups
 
 
+def _three_8x8_greys(folder):
+    for name in ("a.pgm", "b.pgm", "c.pgm"):
+        write_image(make_test_image(0, 8), folder / name)
+
+
+def test_plan_groups_size_a_binary_payload_by_its_maxval(tmp_path):
+    # a 16-bit P6 8x8 needs 397 bytes; cut to 205 it held its 192 samples
+    # at 1 byte each, so it set the budget to three planes and the three
+    # greys planned as one stack
+    _three_8x8_greys(tmp_path)
+    data = encode_image(np.zeros((3, 8, 8)), maxval=65535)
+    assert len(data) == 397
+    (tmp_path / "t.ppm").write_bytes(data[:205])
+    groups = _plan_groups(sorted(tmp_path.iterdir()))
+    names = [[p.name for p in group] for group in groups]
+    assert names == [["a.pgm"], ["b.pgm"], ["c.pgm"], ["t.ppm"]]
+
+
+def test_plan_groups_size_an_ascii_payload_at_two_bytes_per_sample(tmp_path):
+    # a P3 8x8 needs a separator and a digit for each of its 192 samples;
+    # 300 payload bytes held them at 1 byte each and set the budget
+    _three_8x8_greys(tmp_path)
+    (tmp_path / "d.ppm").write_bytes(b"P3 8 8 255\n" + b"0" * 300)
+    groups = _plan_groups(sorted(tmp_path.iterdir()))
+    assert [len(group) for group in groups] == [1] * 4
+    full = encode_image(np.zeros((3, 8, 8)), fmt="P3")
+    (tmp_path / "d.ppm").write_bytes(full)
+    assert [len(group) for group in _plan_groups(sorted(tmp_path.iterdir()))] == [3, 1]
+
+
 def test_defend_batch_groups_byte_identical_to_per_file_runs(tmp_path):
     in_dir, ref_dir = _same_shape_dir(tmp_path)
     noise = ("--add-uniform-noise", "0.03")
@@ -1113,8 +1143,9 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
     code, _, clean = _batch_outputs(in_dir, ref_dir, tmp_path / "clean", "--maxiter", "21")
     assert code == 0
     # same shape as their neighbours, so both join a group: a corrupt
-    # payload, long enough to hold 24 x 20 samples, and an all-black image
-    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 300 + b"x\n")
+    # payload, long enough to hold 24 x 20 samples of a separator and a
+    # digit each, and an all-black image
+    (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 479 + b"x\n")
     write_image(np.zeros((20, 24)), in_dir / "img2b.pgm")
     write_image(np.zeros((20, 24)), ref_dir / "img2b.pgm")
     (ref_dir / "img1b.pgm").write_bytes((ref_dir / "img0.pgm").read_bytes())

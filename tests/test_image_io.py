@@ -67,6 +67,15 @@ def test_encode_rejects_a_comment_with_a_line_break(comment):
     assert repr(comment) in str(err.value)
 
 
+@pytest.mark.parametrize("comment", ["café", "ok\u2028", "\U0001f600"])
+def test_encode_rejects_a_non_ascii_comment_by_name(comment):
+    # the header is ASCII; such a comment once failed in str.encode, whose
+    # error named a character and a position but not the comment
+    with pytest.raises(ValueError, match="holds a non-ASCII character") as err:
+        encode_image(np.zeros((2, 2)), comments=[comment])
+    assert repr(comment) in str(err.value)
+
+
 _ONE_LINE = st.characters(codec="ascii", exclude_characters="\n\r")
 
 
@@ -275,11 +284,16 @@ def test_built_headers_parse_and_decode_totally(tmp_path_factory, magic, width, 
     header = b"".join(field + sep for field, sep in zip(fields, seps))
     path = tmp_path_factory.mktemp("hdr") / "img.pnm"
     path.write_bytes(header)
-    assert read_header(path) == (image_io._MAGIC_CHANNELS[magic], height, width)
+    *shape, fits = read_header(path)
+    assert shape == [image_io._MAGIC_CHANNELS[magic], height, width]
     try:
         decode_image(header + b"0 1 2\n")
     except PnmParseError:
         pass
+    if not fits:
+        # a file too short for its payload cannot decode
+        with pytest.raises(PnmParseError):
+            decode_image(header)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +313,7 @@ def test_read_header_agrees_with_decode_image(tmp_path, header, expected):
     payload = bytes(channels * m * n) if binary else b"0 " * (channels * m * n)
     path = tmp_path / "img.pnm"
     path.write_bytes(header + payload)
-    assert read_header(path) == expected
+    assert read_header(path) == (*expected, True)
     assert decode_image(path.read_bytes()).shape == ((m, n) if channels == 1 else (3, m, n))
 
 

@@ -117,6 +117,30 @@ def test_compare_methods_checks_the_mask_before_any_solve(monkeypatch):
         compare_methods(clean, clean, np.full((16, 16), 0.5), SplicConfig(), tau=0.1)
 
 
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        (np.zeros((16, 17)), r"reference shape \(16, 17\) != image shape \(16, 16\)"),
+        (np.full((16, 16), np.nan), "reference contains non-finite values"),
+        (np.zeros((3, 16, 16)), "reference must be 2-D"),
+    ],
+    ids=["shape", "nan", "stack"],
+)
+def test_compare_methods_checks_the_reference_before_any_solve(monkeypatch, reference, message):
+    # a wrong shape failed in psnr after the first solve; a NaN gave four
+    # NaN PSNRs and no error
+    solves = []
+    real = metrics_module.splic_complete
+    monkeypatch.setattr(
+        metrics_module, "splic_complete", lambda *a: solves.append(a) or real(*a)
+    )
+    x = balanced_low_rank(16, 16, 2, 0)
+    mask = generate_mask(16, 16, 0.5, 1)
+    with pytest.raises(ValueError, match=message):
+        compare_methods(reference, x, mask, SplicConfig())
+    assert solves == []
+
+
 def test_compare_csv_serializes_inf_as_literal(tmp_path):
     # every pixel anchored and tau = 0: the identity limit, so a PSNR is infinite
     scene, out = tmp_path / "scene.pgm", tmp_path / "cmp.csv"

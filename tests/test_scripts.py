@@ -91,3 +91,31 @@ def test_corpus_diff_reports_identical_runs_and_a_one_ulp_move(tmp_path):
     assert "iteration count changed: 0 cases" in moved
     bad.communicate(timeout=60)
     assert bad.returncode == 1
+
+
+def test_cli_bytes_runs_every_command_and_cuts_only_the_timing(tmp_path):
+    # two runs of one checkout at once, as CI runs the base's and the head's
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / "cli_bytes.py"
+    runs = [
+        subprocess.Popen(
+            [sys.executable, str(script), str(ROOT), str(tmp_path / side), "--tiny"],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning"),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for side in ("a", "b")
+    ]
+    for proc in runs:
+        _finish(proc)
+    a, b = (
+        {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for out in (tmp_path / "a", tmp_path / "b")
+    )
+    assert a == b
+    log = a["run.log"].decode().splitlines()
+    assert [line for line in log if line.startswith("exit ")] == ["exit 0"] * 7
+    assert a["compare0.csv"].startswith(b"fraction,method,psnr_db,rank,iters\n")
+    assert a["methods.csv"].startswith(b"image,fraction,method,psnr_db,rank,iters\n")
+    assert {"batch-1/summary.csv", "batch-2/img02.ppm", "defend.c2.csv"} <= a.keys()

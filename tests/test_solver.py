@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import splic.baselines as baselines_module
 import splic.solver as solver_module
@@ -20,6 +22,7 @@ from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import compare_methods, psnr
 from splic.sampling import complement, generate_mask
 from splic.solver import (
+    TV_MODES,
     SplicConfig,
     relative_change,
     splic_alternated,
@@ -309,6 +312,85 @@ def test_alternated_checks_both_masks_before_the_first_solve(
     with pytest.raises(ValueError, match=re.escape(message)):
         splic_alternated(x, cfg)
     assert calls == []
+
+
+def test_alternated_keeps_a_plane_whose_pass_1_targets_all_clamp_to_zero():
+    # pass 2 once rejected such a plane as identically zero, after pass 1
+    # had run; zero anchors have the fixed point 0, and the other planes
+    # solve as they would alone
+    x = make_test_image(0, 16)
+    cfg = SplicConfig(seed=2)
+    first = splic_complete(-x, generate_mask(16, 16, 0.5, 2), cfg)
+    assert not first.completed[generate_mask(16, 16, 0.5, 2) == 0.0].any()
+    solo = splic_alternated(x, cfg)
+    res = splic_alternated(np.stack([-x, x]), cfg)
+    assert not res.completed[0].any() and not res.low_rank[0].any()
+    assert res.completed[1].tobytes() == solo.completed.tobytes()
+    assert res.low_rank[1].tobytes() == solo.low_rank.tobytes()
+    for j, alone in enumerate([first, solo]):
+        for got, want in zip(res.trace.for_plane(j).columns()[1:], alone.trace.columns()[1:]):
+            assert np.array_equal(got, want), j
+    assert res.converged == solo.converged
+    assert not splic_alternated(-x, cfg).completed.any()
+
+
+@st.composite
+def _valid_problems(draw):
+    """A valid SplicConfig, a finite (m, n) image or (k, m, n) stack, and a
+    {0, 1} mask: sides 4-12, k <= 3, maxiter <= 21, values in [-1, 1] or
+    [0, 1] and each plane scaled by 0 or by 10^e for |e| <= 300."""
+    m, n, k = draw(st.integers(4, 12)), draw(st.integers(4, 12)), draw(st.integers(0, 3))
+    mu = draw(st.floats(1e-3, 1e3))
+    lam = draw(st.floats(0.0, 0.25)) / mu
+    assume(mu * lam <= 0.25)
+    cfg = SplicConfig(
+        lam=lam,
+        rho=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        mu=mu,
+        r=draw(st.none() | st.integers(1, min(m, n) + 1)),
+        epsilon=draw(st.floats(1e-12, 1.0)),
+        maxiter=draw(st.integers(1, 21)),
+        inner_steps=draw(st.integers(1, 8)),
+        anchor_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        seed=draw(st.integers(0, 2**16)),
+        tv_mode=draw(st.sampled_from(TV_MODES)),
+        clamp_output=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = rng.uniform(-1.0 if draw(st.booleans()) else 0.0, 1.0, (max(k, 1), m, n))
+    for plane in planes:
+        plane *= 0.0 if draw(st.integers(0, 7)) == 7 else 10.0 ** draw(st.integers(-300, 300))
+    mask = (rng.random((m, n)) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+    return (planes if k else planes[0]), mask, cfg
+
+
+@given(_valid_problems(), st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_every_valid_input_solves_finite_or_fails_before_the_first_step(problem, alternated):
+    # a RuntimeWarning fails the test too: tier-1 turns it into an error
+    x, mask, cfg = problem
+    with recorded_steps() as steps:
+        try:
+            res = splic_alternated(x, cfg) if alternated else splic_complete(x, mask, cfg)
+        except ValueError:
+            assert steps == []
+            return
+    assert all(np.isfinite(a).all() for a in (res.completed, res.low_rank, *res.trace.columns()))
+    assert res.completed.shape == res.low_rank.shape == x.shape
+    counts = np.bincount(res.trace.plane)
+    assert res.trace.t.max() <= cfg.maxiter
+    assert counts.max() <= (2 if alternated else 1) * cfg.maxiter
+    if alternated:
+        # pass 2 anchors pass 1's targets
+        mask = generate_mask(*x.shape[-2:], cfg.anchor_fraction, cfg.seed)
+        x = splic_complete(x, mask, cfg).completed
+        mask = complement(mask)
+    anchor = mask == 1.0
+    assert res.completed[..., anchor].tobytes() == x[..., anchor].tobytes()
+    if cfg.clamp_output:
+        # every pixel is a target of one pass or the other
+        targets = res.completed if alternated else res.completed[..., ~anchor]
+        assert np.all((targets >= 0.0) & (targets <= 1.0))
 
 
 @pytest.mark.parametrize("tv_mode", ["exact", "paper"])
