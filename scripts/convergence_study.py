@@ -31,7 +31,7 @@ def main():
         scene = make_test_image(i, args.size)
         mask = generate_mask(args.size, args.size, args.anchor_fraction, args.seed + i)
         res = splic_complete(scene, mask, cfg)
-        write_trace_csv(res.trace, out / f"scene{i:02d}_trace.csv")
+        write_trace_csv(res.trace, out / f"scene{i:02d}_trace.csv", 1)
         rels = res.trace.rel_change
         maxima = rels.reshape(-1, cfg.inner_steps).max(axis=1)
         print(

@@ -4,13 +4,14 @@ compare two such runs case by case.
 
     PYTHONPATH=src python3 scripts/corpus_diff.py run --out head.npz
     git worktree add ../parent HEAD~1
-    PYTHONPATH=../parent/src python3 scripts/corpus_diff.py run --out parent.npz
+    PYTHONPATH=../parent/src python3 ../parent/scripts/corpus_diff.py run --out parent.npz
     python3 scripts/corpus_diff.py diff parent.npz head.npz
 
-`run` imports splic from PYTHONPATH, so this one script solves the grid
-with the library of whichever checkout PYTHONPATH names.  BLAS is pinned
-to one thread before numpy is imported, as in perfbench/run.py, so both
-runs of a comparison take the same BLAS code paths.
+`run` imports splic from PYTHONPATH; each checkout runs its own copy of
+this script against its own library, so a change to a library call made
+here cannot break the other side's run.  BLAS is pinned to one thread
+before numpy is imported, as in perfbench/run.py, so both runs of a
+comparison take the same BLAS code paths.
 
 The grid: corpus scenes 0-3 at 32^2, 48^2, 64^2, 96^2, 128^2, 256^2,
 24x40 and 64x128, each clean and with uniform noise of amplitude 0.05

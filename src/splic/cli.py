@@ -136,7 +136,7 @@ def _finish(args, res, cfg) -> int:
     """Write the completion and, with --trace, its trace CSVs; the exit code."""
     _write_output(res.completed, args.output, cfg)
     if args.trace:
-        write_trace_csv(res.trace, args.trace)
+        write_trace_csv(res.trace, args.trace, 1 if res.completed.ndim == 2 else len(res.completed))
     return _exit_code(args, res.converged)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .solver import ConvergenceTrace, SplicConfig, config_key
 
-TRACE_CSV_HEADER = "t,delta,rel_change,srf,tv"
+# every column of the trace but `plane`, which picks the file a row goes to
+TRACE_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ConvergenceTrace)[1:])
 
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _BINARY_MAGICS = (b"P5", b"P6")
@@ -287,15 +288,15 @@ def write_csv(path, header: str, rows):
     atomic_write(path, text.getvalue().encode())
 
 
-def write_trace_csv(trace: ConvergenceTrace, path):
-    """Write `trace` as CSV, atomically: to `path` if its rows are of one
-    plane (an (m, n) image, or one plane picked from a stack), else each
-    plane i's rows to `<stem>.c<i><suffix>`."""
+def write_trace_csv(trace: ConvergenceTrace, path, planes: int):
+    """Write the trace of a solve of `planes` planes as CSV, atomically: to
+    `path` for one plane, else plane i's rows to `<stem>.c<i><suffix>` for
+    each i below `planes`, header only for a plane that took no step."""
     path = Path(path)
-    planes = np.unique(trace.plane).tolist()
     files = [(path, trace)]
-    if len(planes) > 1:
-        files = [(path.with_suffix(f".c{i}{path.suffix}"), trace.for_plane(i)) for i in planes]
+    if planes > 1:
+        suffix = path.suffix
+        files = [(path.with_suffix(f".c{i}{suffix}"), trace.for_plane(i)) for i in range(planes)]
     for target, part in files:
         # every column but `plane`; .tolist() gives Python numbers, not numpy scalars
         write_csv(target, TRACE_CSV_HEADER, zip(*(c.tolist() for c in part.columns()[1:])))

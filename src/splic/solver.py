@@ -54,7 +54,8 @@ rather than once per plane.  Each plane keeps its own delta and its own
 rows of the one trace (its `plane` column names them), and follows bit
 for bit the trajectory it would follow alone: after every block, a plane
 whose block change is <= epsilon, or that has used the budget, retires
--- it is frozen and leaves the stack the loop steps.
+-- it is frozen and leaves the stack the loop steps.  A plane whose
+anchors are all zero retires before the first step, at its fixed point 0.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class ConvergenceTrace:
     `delta`, `rel_change` between its projected iterates, the smoothed
     rank `srf` of its truncated iterate at that delta and the roughness
     `tv` of its projected iterate, all in the plane's unit frame.  Rows
-    go in step order, and within a step the live planes go in index order.
+    go in step order, and within a step the live planes go in index order;
+    a plane that took no step has no rows.
     """
 
     plane: np.ndarray
@@ -202,8 +204,10 @@ class ConvergenceTrace:
 
 
 def _concat(parts) -> ConvergenceTrace:
-    """A trace of the rows of `parts`, tuples of columns, in order."""
-    return ConvergenceTrace(*map(np.concatenate, zip(*parts)))
+    """A trace of the rows of `parts`, tuples of columns, in order; with no
+    row, `plane` and `t` are still integer columns."""
+    empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 4
+    return ConvergenceTrace(*map(np.concatenate, zip(empty, *parts)))
 
 
 @dataclass(frozen=True)
@@ -322,8 +326,9 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
 
     Every finite input gets a result, in the caller's frame: a value that
     exceeds the largest float there reads inf.  Anchors are returned as
-    given, bit for bit.  A mask with no anchor, or a plane whose anchors are
-    all zero, is rejected with a ValueError before the first step.
+    given, bit for bit.  A plane whose anchors are all zero completes to
+    0: both its surfaces are 0, it has no trace rows and it converged.  A
+    mask with no anchor is rejected with a ValueError before the first step.
     """
     planes, stacked = _image_stack(x)
     k, m, n = planes.shape
@@ -340,17 +345,15 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     e -= mantissa == 0.5
     np.ldexp(current, -e[:, None, None], out=current)
     delta = np.linalg.norm(current, 2, axis=(-2, -1))
-    if np.any(delta == 0.0):
-        raise ValueError(
-            "anchor-masked image is identically zero; delta cannot be initialized"
-        )
 
     # `current` and `delta` hold the planes still running, whose indices
-    # are `live`; `final` collects each plane as it retires
-    final = np.empty_like(planes)
-    live = np.arange(k)
+    # are `live`; `final` collects each plane as it retires, and keeps 0
+    # for a plane whose anchors are all 0 (delta 0), which takes no step
+    final = np.zeros_like(planes)
+    live = np.flatnonzero(delta)
+    current, delta = current[live], delta[live]
     steps = []  # per step, a tuple of the trace's columns for the live planes
-    converged = np.zeros(k, dtype=bool)
+    converged = np.ones(k, dtype=bool)
     basis = None
     t = 0
     while live.size:
@@ -408,10 +411,9 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     A (k, m, n) stack shares the mask across its planes and gives results
     shaped as `splic_complete` gives them for a stack.  Each pass needs an
     anchor, so the mask must leave a target; both are checked before pass 1
-    (`generate_mask` rejects a fraction that anchors no pixel).  A plane
-    whose pass-1 targets all come out 0 (clamped, or below the smallest
-    float) leaves pass 2 no nonzero anchor: 0 is then its fixed point, so
-    both its surfaces are 0, it takes no pass-2 step, and it converged.
+    (`generate_mask` rejects a fraction that anchors no pixel).  Each pass
+    is one `splic_complete`, pass 2 on pass 1's `completed`, so a plane
+    whose anchors in a pass are all zero completes to 0 in that pass.
     """
     arr = as_stack(x, "image")
     m, n = arr.shape[-2:]
@@ -421,24 +423,13 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
             f"anchor_fraction {cfg.anchor_fraction} anchors {m * n} of {m * n} "
             "pixels; two-pass mode needs at least one anchor and one target"
         )
-    second_mask = complement(mask)
     first = splic_complete(arr, mask, cfg)
-    parts, converged = [first.trace.columns()], first.converged
-    planes = first.completed.reshape((-1, m, n))
+    completed, trace, converged = first.completed, first.trace, first.converged
     del first  # its low-rank surface, unused, is freed before the second pass
-    # each plane's pass-2 anchors, and 0 elsewhere: the result of a plane
-    # whose anchors are all 0
-    completed, low_rank = np.where(second_mask == 1.0, planes, 0.0), np.zeros_like(planes)
-    live = np.flatnonzero(completed.any(axis=(1, 2)))
-    if live.size:
-        second = splic_complete(planes[live], second_mask, cfg)
-        completed[live], low_rank[live] = second.completed, second.low_rank
-        plane, *columns = second.trace.columns()
-        parts.append((live[plane], *columns))
-        converged &= second.converged
+    second = splic_complete(completed, complement(mask), cfg)
     return CompletionResult(
-        completed=completed.reshape(arr.shape),
-        low_rank=low_rank.reshape(arr.shape),
-        trace=_concat(parts),
-        converged=converged,
+        completed=second.completed,
+        low_rank=second.low_rank,
+        trace=_concat([trace.columns(), second.trace.columns()]),
+        converged=converged and second.converged,
     )

@@ -318,14 +318,38 @@ def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, scene_file, raw)
 
 
 @pytest.mark.parametrize("command", ["complete", "defend"])
-def test_all_black_image_exits_2(tmp_path, command):
+def test_all_black_image_completes_to_black(tmp_path, command):
+    # it once exited 2, "anchor-masked image is identically zero"
     src = tmp_path / "black.pgm"
     write_image(np.zeros((16, 16)), src)
     out = tmp_path / "o.pgm"
     code, err = run_cli(command, "--input", src, "--output", out)
-    assert code == 2
-    assert "identically zero" in err
-    assert not out.exists()
+    assert code == 0 and err == ""
+    assert read_image(out).tobytes() == np.zeros((16, 16)).tobytes()
+
+
+@pytest.mark.parametrize("zero", [(2,), (0, 1)], ids=["blue", "red-green"])
+@pytest.mark.parametrize("command", ["complete", "defend"])
+def test_ppm_with_all_zero_channels_completes_them_to_zero(tmp_path, command, zero):
+    # both commands exited 2 on such a file, since a channel is solved as
+    # one plane of a stack
+    planes = np.stack([make_test_image(i, 24) for i in range(3)])
+    planes[list(zero)] = 0.0
+    src, out, trace = tmp_path / "col.ppm", tmp_path / "o.ppm", tmp_path / "t.csv"
+    write_image(planes, src)
+    code, err = run_cli(
+        command, "--input", src, "--output", out, "--seed", "2", "--trace", trace
+    )
+    assert code == 0 and err == ""
+    result = read_image(out)
+    assert not result[list(zero)].any()
+    assert all(result[i].any() for i in range(3) if i not in zero)
+    # one trace file per channel, header only for a channel that took no step
+    assert sorted(p.name for p in tmp_path.glob("t*.csv")) == ["t.c0.csv", "t.c1.csv", "t.c2.csv"]
+    for i in range(3):
+        rows = (tmp_path / f"t.c{i}.csv").read_text().splitlines()
+        assert rows[0] == "t,delta,rel_change,srf,tv"
+        assert (len(rows) == 1) == (i in zero)
 
 
 def test_defend_with_every_pixel_anchored_exits_2_before_solving(tmp_path, scene_file):
@@ -902,7 +926,7 @@ def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
     mask = generate_mask(20, 28, cfg.anchor_fraction, cfg.seed)
     for i, plane in enumerate(read_image(src)):
         solo = tmp_path / f"solo{i}.csv"
-        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo)
+        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo, 1)
         assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
 
 
@@ -1144,7 +1168,8 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
     assert code == 0
     # same shape as their neighbours, so both join a group: a corrupt
     # payload, long enough to hold 24 x 20 samples of a separator and a
-    # digit each, and an all-black image
+    # digit each, and an all-black image, which once failed as well and
+    # now completes to black
     (in_dir / "img1b.pgm").write_bytes(b"P2\n24 20\n255\n" + b"7 " * 479 + b"x\n")
     write_image(np.zeros((20, 24)), in_dir / "img2b.pgm")
     write_image(np.zeros((20, 24)), ref_dir / "img2b.pgm")
@@ -1152,15 +1177,55 @@ def test_defend_batch_isolates_failures_inside_a_group(tmp_path):
     groups = _plan_groups(sorted(in_dir.iterdir()))
     assert any(len(g) > 1 and in_dir / "img1b.pgm" in g for g in groups)
     assert any(len(g) > 1 and in_dir / "img2b.pgm" in g for g in groups)
+    header, *rows = clean["summary.csv"].decode().splitlines()
+    rows = [header, *sorted([*rows, "img2b.pgm,inf"])]  # file order
     for jobs in ("1", "2", "3"):
         code, err, out = _batch_outputs(
             in_dir, ref_dir, tmp_path / f"out{jobs}", "--maxiter", "21", "--jobs", jobs
         )
         assert code == 2
         lines = err.splitlines()
+        assert len(lines) == 1
         assert lines[0].startswith("error: img1b.pgm: ") and "not an integer" in lines[0]
-        assert lines[1].startswith("error: img2b.pgm: ") and "identically zero" in lines[1]
-        assert out == clean
+        black = read_image(tmp_path / f"out{jobs}" / "img2b.pgm")
+        assert black.tobytes() == np.zeros((20, 24)).tobytes()
+        del out["img2b.pgm"]
+        assert out.pop("summary.csv").decode().splitlines() == rows
+        assert out == {k: v for k, v in clean.items() if k != "summary.csv"}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_defend_batch_solves_a_file_with_zero_channels_inside_a_group(tmp_path, jobs):
+    # such a file once failed, and made its whole group be solved again
+    # one file at a time
+    in_dir, ref_dir = _same_shape_dir(tmp_path)
+    code, _, clean = _batch_outputs(in_dir, ref_dir, tmp_path / "clean", "--maxiter", "21")
+    assert code == 0
+    scene = make_test_image(50, (20, 24))
+    zeros = np.stack([scene, np.zeros_like(scene), np.zeros_like(scene)])
+    for folder in (in_dir, ref_dir):
+        write_image(zeros, folder / "img2z.ppm")
+    groups = _plan_groups(sorted(in_dir.iterdir()))
+    assert any(len(g) > 1 and in_dir / "img2z.ppm" in g for g in groups)
+    single = tmp_path / "single.ppm"
+    code, _ = run_cli(
+        "defend", "--input", in_dir / "img2z.ppm", "--output", single,
+        "--seed", "4", "--maxiter", "21",
+    )
+    assert code == 0
+    code, err, out = _batch_outputs(
+        in_dir, ref_dir, tmp_path / "out", "--maxiter", "21", "--jobs", jobs
+    )
+    assert code == 0 and err == ""
+    written = out.pop("img2z.ppm")
+    assert written == single.read_bytes()
+    assert not read_image(tmp_path / "out" / "img2z.ppm")[1:].any()
+    rows = out.pop("summary.csv").decode().splitlines()
+    assert [r.split(",")[0] for r in rows if r.startswith("img2z")] == ["img2z.ppm"]
+    assert [r for r in rows if not r.startswith("img2z")] == (
+        clean.pop("summary.csv").decode().splitlines()
+    )
+    assert out == clean
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -369,7 +369,7 @@ def test_trace_csv_header_and_rows(tmp_path):
         tv=np.array([3.5, 0.1 + 0.2]),
     )
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_trace_csv(trace, path, 1)
     assert TRACE_CSV_HEADER == "t,delta,rel_change,srf,tv"
     assert path.read_bytes() == (
         b"t,delta,rel_change,srf,tv\n1,2.0,0.5,1.25,3.5\n2,2.0,0.25,1.0,0.30000000000000004\n"
@@ -379,7 +379,7 @@ def test_trace_csv_header_and_rows(tmp_path):
 def test_empty_trace_is_header_only(tmp_path):
     empty = ConvergenceTrace(*(np.array([]) for _ in range(6)))
     assert len(empty) == 0
-    write_trace_csv(empty, tmp_path / "t.csv")
+    write_trace_csv(empty, tmp_path / "t.csv", 1)
     assert (tmp_path / "t.csv").read_text() == TRACE_CSV_HEADER + "\n"
 
 
@@ -387,7 +387,7 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     x = make_test_image(0, 24)
     res = splic_complete(x, generate_mask(24, 24, 0.5, 1), SplicConfig())
     path = tmp_path / "t.csv"
-    write_trace_csv(res.trace, path)
+    write_trace_csv(res.trace, path, 1)
     rows = path.read_text().splitlines()
     assert len(rows) == len(res.trace) + 1
     first = rows[1].split(",")
@@ -398,11 +398,11 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
 def test_stack_trace_writes_one_csv_per_plane(tmp_path):
     planes = np.stack([make_test_image(i, 24) for i in range(2)])
     mask = generate_mask(24, 24, 0.5, 1)
-    write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv")
+    write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv", 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.c0.csv", "t.c1.csv"]
     for i, plane in enumerate(planes):
         solo = tmp_path / "solo" / "s.csv"
-        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo)
+        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo, 1)
         assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
 
 
@@ -410,10 +410,10 @@ def test_one_plane_of_a_stack_trace_writes_its_path(tmp_path):
     planes = np.stack([make_test_image(i, 24) for i in range(2)])
     mask = generate_mask(24, 24, 0.5, 1)
     trace = splic_complete(planes, mask, SplicConfig()).trace
-    write_trace_csv(trace.for_plane(1), tmp_path / "p1.csv")
+    write_trace_csv(trace.for_plane(1), tmp_path / "p1.csv", 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv"]
     solo = tmp_path / "solo" / "s.csv"
-    write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo)
+    write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo, 1)
     assert (tmp_path / "p1.csv").read_bytes() == solo.read_bytes()
 
 
@@ -427,7 +427,7 @@ def test_trace_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        write_trace_csv(trace, path)
+        write_trace_csv(trace, path, 1)
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 

@@ -20,7 +20,7 @@ from conftest import (
 from splic.baselines import soft_impute_with_count, soft_threshold_singular, usvt
 from splic.linalg import SvdFactors, numerical_rank, reconstruct, svd
 from splic.metrics import compare_methods, psnr
-from splic.sampling import complement, generate_mask
+from splic.sampling import complement, generate_mask, round_half_up
 from splic.solver import (
     TV_MODES,
     SplicConfig,
@@ -141,11 +141,32 @@ def test_full_mask_is_bit_exact_identity(rng):
     assert res.iterations == SplicConfig().inner_steps  # one block
 
 
-def test_zero_anchor_image_rejected():
-    x = np.zeros((8, 8))
+def test_zero_anchor_image_completes_to_zero():
+    # splic_complete once rejected it as identically zero, while soft-impute
+    # and USVT returned 0; the pixels off the anchors are never read
     mask = generate_mask(8, 8, 0.5, 0)
-    with pytest.raises(ValueError, match="zero"):
-        splic_complete(x, mask, SplicConfig())
+    x = np.where(mask == 1.0, 0.0, make_test_image(0, 8))
+    res = splic_complete(x, mask, SplicConfig())
+    assert res.completed.tobytes() == res.low_rank.tobytes() == np.zeros((8, 8)).tobytes()
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(soft_impute_with_count(x, mask)[0], np.zeros((8, 8)))
+    assert np.array_equal(usvt(x, mask), np.zeros((8, 8)))
+
+
+def test_alternated_solves_a_sparse_image_for_every_seed():
+    # two bright pixels on black: seeds 3 and 7 make both of them pass-1
+    # targets, so pass 1 has only zero anchors, and splic_alternated raised
+    x = np.zeros((16, 16))
+    x[0, 3] = x[14, 2] = 1.0
+    for seed in range(12):
+        res = splic_alternated(x, SplicConfig(seed=seed))
+        assert np.isfinite(res.completed).all() and np.isfinite(res.low_rank).all()
+        first_anchors = generate_mask(16, 16, 0.5, seed)[x > 0.0]
+        assert first_anchors.any() == (seed not in (3, 7))
+        if seed in (3, 7):
+            zeros = np.zeros((16, 16)).tobytes()
+            assert res.completed.tobytes() == res.low_rank.tobytes() == zeros
+            assert res.converged and res.iterations == 0
 
 
 @pytest.mark.parametrize("side", [32, 64, 128])
@@ -374,12 +395,20 @@ def test_every_valid_input_solves_finite_or_fails_before_the_first_step(problem,
             res = splic_alternated(x, cfg) if alternated else splic_complete(x, mask, cfg)
         except ValueError:
             assert steps == []
+            # the only invalid inputs: no anchor or no target, or too high a rank
+            m, n = x.shape[-2:]
+            if alternated:
+                no_mask = round_half_up(cfg.anchor_fraction * m * n) in (0, m * n)
+            else:
+                no_mask = not mask.any()
+            assert no_mask or (cfg.r is not None and cfg.r > min(m, n))
             return
     assert all(np.isfinite(a).all() for a in (res.completed, res.low_rank, *res.trace.columns()))
     assert res.completed.shape == res.low_rank.shape == x.shape
+    # a plane whose anchors are all zero takes no step, so the trace may be empty
     counts = np.bincount(res.trace.plane)
-    assert res.trace.t.max() <= cfg.maxiter
-    assert counts.max() <= (2 if alternated else 1) * cfg.maxiter
+    assert res.trace.t.max(initial=0) <= cfg.maxiter
+    assert counts.max(initial=0) <= (2 if alternated else 1) * cfg.maxiter
     if alternated:
         # pass 2 anchors pass 1's targets
         mask = generate_mask(*x.shape[-2:], cfg.anchor_fraction, cfg.seed)
@@ -827,9 +856,46 @@ def test_stack_input_validation():
     for baseline in (functools.partial(soft_impute_with_count, tau=0.1), usvt):
         with pytest.raises(ValueError, match=r"mask shape \(8, 9\) != image shape \(8, 8\)"):
             baseline(x, np.ones((8, 9)))
-    # any all-zero plane leaves its delta undefined
-    with pytest.raises(ValueError, match="zero"):
-        splic_complete(np.stack([x, np.zeros((8, 8))]), mask, SplicConfig())
+    # an all-zero plane solves, to 0
+    res = splic_complete(np.stack([x, np.zeros((8, 8))]), mask, SplicConfig())
+    assert not res.completed[1].any() and not res.low_rank[1].any()
+
+
+@pytest.mark.parametrize("alternated", [False, True], ids=["complete", "alternated"])
+def test_a_zero_plane_of_a_stack_solves_to_zero_and_the_others_as_alone(alternated):
+    # the zero plane's anchors are -0.0, and its targets hold values that no
+    # step may read; it once made the whole stack raise
+    cfg = SplicConfig(seed=3)
+    mask = generate_mask(24, 24, cfg.anchor_fraction, cfg.seed)
+    planes = _noisy_planes((24, 24), 2)
+    planes[1] = np.where(mask == 1.0, -0.0, planes[1])
+
+    def solve(x):
+        return splic_alternated(x, cfg) if alternated else splic_complete(x, mask, cfg)
+
+    res = solve(planes)
+    assert res.completed.shape == res.low_rank.shape == planes.shape
+    zero, anchor = np.zeros((24, 24)), mask == 1.0
+    # two passes leave no pixel of the input: pass 2 anchors pass 1's 0s
+    given = zero if alternated else planes[1]
+    assert res.completed[1][anchor].tobytes() == given[anchor].tobytes()
+    assert res.completed[1][~anchor].tobytes() == zero[~anchor].tobytes()
+    assert res.low_rank[1].tobytes() == zero.tobytes()
+    assert len(res.trace.for_plane(1)) == 0
+    solos = {j: solve(planes[j]) for j in (0, 2)}
+    assert res.converged == all(s.converged for s in solos.values())
+    assert res.iterations == sum(s.iterations for s in solos.values())
+    for j, solo in solos.items():
+        assert res.completed[j].tobytes() == solo.completed.tobytes()
+        assert res.low_rank[j].tobytes() == solo.low_rank.tobytes()
+        rows = res.trace.for_plane(j)
+        assert np.all(rows.plane == j)
+        for got, want in zip(rows.columns()[1:], solo.trace.columns()[1:]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a solve whose every plane is zero keeps the trace's column types
+    empty = solve(planes[1]).trace
+    assert len(empty) == 0
+    assert [c.dtype.kind for c in empty.columns()] == list("iiffff")
 
 
 @pytest.mark.parametrize("shape", [(3, 5, 4), (3, 24, 40), (2, 64, 64)])
