@@ -78,7 +78,7 @@ def _solves(shape, noise, scene):
     from splic.linalg import numerical_rank
     from splic.metrics import RANK_TOL
     from splic.sampling import generate_mask
-    from splic.solver import SplicConfig, splic_alternated, splic_complete
+    from splic.solver import TV_MODES, SplicConfig, splic_alternated, splic_complete
     from splic.testimages import add_uniform_noise, make_test_image
 
     def corpus(s):
@@ -102,7 +102,7 @@ def _solves(shape, noise, scene):
     clean3, x3 = (np.stack(side) for side in zip(*pairs))
     mask = generate_mask(m, n, 0.5, scene)
     common = (f"{m}x{n}", repr(noise), f"s{scene}")
-    for tv in ("exact", "paper"):
+    for tv in TV_MODES:
         for config, cfg in (
             ("default", SplicConfig(tv_mode=tv)),
             ("maxiter17", SplicConfig(tv_mode=tv, maxiter=17)),

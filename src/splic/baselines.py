@@ -24,14 +24,19 @@ def soft_threshold_singular(f: SvdFactors, tau: float) -> np.ndarray:
     return reconstruct(f, np.maximum(f.sigma - tau, 0.0))
 
 
-def soft_impute_with_count(x, mask, tau: float | None = None, iters: int = 200, tol: float = 1e-7):
+SOFT_IMPUTE_ITERS = 200  # soft-impute's iteration budget
+SOFT_IMPUTE_TOL = 1e-7  # the normalized change below which soft-impute stops
+
+
+def soft_impute_with_count(x, mask, tau: float | None = None):
     """Fixed-point completion Z <- SVT_tau(M*X + (1-M)*Z).
 
     Starts from the zero-filled observed matrix and stops when the
-    normalized change drops below tol or the budget runs out; returns the
-    completion and the number of iterations performed.  Observed
-    entries of the result are NOT forced back to X (soft completion).
-    tau defaults to 0.05 times the top singular value of that start.
+    normalized change drops below SOFT_IMPUTE_TOL or after
+    SOFT_IMPUTE_ITERS iterations; returns the completion and the number
+    of iterations performed.  Observed entries of the result are NOT
+    forced back to X (soft completion).  tau defaults to 0.05 times the
+    top singular value of that start, and is checked before the first SVD.
 
     Each SVT needs only the triplets with sigma > tau.  The first
     iteration takes them from the rank path of `svd` at full rank, which
@@ -49,16 +54,15 @@ def soft_impute_with_count(x, mask, tau: float | None = None, iters: int = 200, 
     """
     arr = as_matrix(x)
     observed = validate_mask(mask, arr.shape)
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
     z = np.where(observed, arr, 0.0)
     if tau is None:
         tau = 0.05 * float(np.linalg.norm(z, 2))
+    check_nonnegative("tau", tau)
     basis = None
-    for done in range(1, iters + 1):
+    for done in range(1, SOFT_IMPUTE_ITERS + 1):
         f, basis = _svt_triplets(np.where(observed, arr, z), tau, basis)
         z, z_prev = soft_threshold_singular(f, tau), z
-        if relative_change(z, z_prev) < tol:
+        if relative_change(z, z_prev) < SOFT_IMPUTE_TOL:
             break
     return z, done
 

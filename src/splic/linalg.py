@@ -208,6 +208,6 @@ def numerical_rank(x, tol: float) -> int:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     s = np.linalg.svd(as_matrix(x), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,20 +15,17 @@ from .solver import SplicConfig, splic_complete
 
 METHOD_NAMES = ("splic", "srf", "soft-impute", "usvt")
 
-COMPARISON_CSV_HEADER = "method,psnr_db,rank,iters,seconds"
-
 # relative singular-value cutoff of every reported numerical rank
 RANK_TOL = 1e-6
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """10 * log10(peak^2 / MSE); identical inputs give float('inf').
+def psnr(a, b) -> float:
+    """10 * log10(1 / MSE), at peak 1, the library's pixel range;
+    identical inputs give float('inf').
 
     Works on single planes and on channel stacks (MSE pooled over all
     entries either way).
     """
-    if not peak > 0:
-        raise ValueError(f"peak must be positive, got {peak}")
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     if xa.shape != xb.shape:
@@ -36,7 +33,7 @@ def psnr(a, b, peak: float = 1.0) -> float:
     mse = float(np.mean((xa - xb) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 @dataclass(frozen=True)
@@ -46,6 +43,9 @@ class MethodResult:
     rank: int
     iters: int
     seconds: float
+
+
+COMPARISON_CSV_HEADER = ",".join(f.name for f in fields(MethodResult))
 
 
 def compare_methods(

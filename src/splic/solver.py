@@ -71,7 +71,8 @@ from .sampling import complement, generate_mask, round_half_up, validate_mask
 from .srf import srf_gradient, srf_value_from_sigma
 from .tv import tv_gradient, tv_gradient_forward, tv_value
 
-TV_MODES = ("exact", "paper")
+_TV_GRADIENTS = {"exact": tv_gradient, "paper": tv_gradient_forward}
+TV_MODES = tuple(_TV_GRADIENTS)
 
 # the class each annotated number type admits, numpy scalars included; a
 # bool, though an Integral, passes only where the annotation is bool
@@ -250,9 +251,6 @@ def relative_change(x_new, x_old):
     squares = np.fromiter(map(np.dot, rows, rows), dtype=np.float64, count=len(rows))
     value = np.sqrt(squares).reshape(a.shape[:-2]) / (m * n)
     return float(value) if value.ndim == 0 else value
-
-
-_TV_GRADIENTS = {"exact": tv_gradient, "paper": tv_gradient_forward}
 
 
 def _image_stack(x) -> tuple[np.ndarray, bool]:

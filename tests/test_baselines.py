@@ -68,7 +68,7 @@ def test_soft_impute_rank_one_recovery():
     truth /= truth.max()
     mask = generate_mask(32, 32, 0.7, 2)
     tau = 0.1 * float(np.linalg.norm(np.where(mask == 1.0, truth, 0.0), 2))
-    out = soft_impute_with_count(truth, mask, tau, iters=200)[0]
+    out = soft_impute_with_count(truth, mask, tau)[0]
     assert psnr(out, truth) > 30.0
 
 
@@ -96,17 +96,18 @@ def test_soft_impute_objective_monotone_after_burn_in():
 
 def test_soft_impute_stops_on_tolerance(rng):
     x = rng.uniform(size=(8, 8))
-    _, count = soft_impute_with_count(x, np.ones((8, 8)), 0.0, iters=50, tol=1e-7)
+    _, count = soft_impute_with_count(x, np.ones((8, 8)), 0.0)
     assert count < 50
 
 
-def _lapack_soft_impute(x, mask, tau, iters=200, tol=1e-7):
+def _lapack_soft_impute(x, mask, tau):
     """The soft-impute loop with each SVT from the full LAPACK SVD."""
     observed = mask == 1.0
     z = np.where(observed, x, 0.0)
+    iters = baselines_module.SOFT_IMPUTE_ITERS
     for done in range(1, iters + 1):
         z_next = soft_threshold_singular(svd(np.where(observed, x, z)), tau)
-        if relative_change(z_next, z) < tol:
+        if relative_change(z_next, z) < baselines_module.SOFT_IMPUTE_TOL:
             return z_next, done
         z = z_next
     return z, iters
@@ -223,6 +224,15 @@ def test_soft_impute_warm_block_failing_a_check_takes_the_rank_path(poison, monk
     assert calls[hit + 2][2]
 
 
+@pytest.mark.parametrize("tau", [-1.0, np.nan], ids=["negative", "nan"])
+def test_soft_impute_rejects_a_bad_tau_before_any_svd(tau, monkeypatch):
+    # a bad tau is refused before it costs an SVD
+    calls = _svd_calls(monkeypatch)
+    with pytest.raises(ValueError, match="tau"):
+        soft_impute_with_count(np.eye(4), np.ones((4, 4)), tau)
+    assert calls == []
+
+
 def test_soft_impute_threshold_above_the_spectrum_gives_zeros():
     x = make_test_image(4, 48)
     mask = generate_mask(48, 48, 0.5, 1)
@@ -291,7 +301,7 @@ def test_usvt_within_five_db_of_soft_impute():
     mask = generate_mask(64, 64, 0.5, 11)
     out = usvt(truth, mask, 0.01)
     tau = 0.05 * float(np.linalg.norm(np.where(mask == 1.0, truth, 0.0), 2))
-    si = soft_impute_with_count(truth, mask, tau, iters=200)[0]
+    si = soft_impute_with_count(truth, mask, tau)[0]
     assert psnr(out, truth) > psnr(si, truth) - 5.0
 
 

@@ -44,8 +44,6 @@ def test_psnr_pools_channels(rng):
 def test_psnr_validation(rng):
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
 
 
 def test_nuclear_norm_values():

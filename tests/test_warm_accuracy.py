@@ -28,14 +28,13 @@ from splic.baselines import soft_impute_with_count
 from splic.linalg import warm_rank
 from splic.metrics import psnr
 from splic.sampling import complement, generate_mask
-from splic.solver import SplicConfig, relative_change, splic_complete
+from splic.solver import TV_MODES, SplicConfig, relative_change, splic_complete
 from splic.testimages import add_uniform_noise, make_test_image
 
 SIZES = (48, 64, 80, 96, 128, 256)
 TWO_PASS_MAX = 96
 SCENES = range(4)
 NOISE = (0.0, 0.05)
-TV_MODES = ("exact", "paper")
 MAX_PSNR_LOSS_DB = 0.05
 
 
