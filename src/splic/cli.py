@@ -70,9 +70,13 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
 
 def _build_config(args) -> SplicConfig:
     """The run's config; every command calls this first, so it also checks
-    --add-uniform-noise, once for a whole batch."""
+    --add-uniform-noise, once for a whole batch, and that --trace names
+    neither the --input nor the --output file."""
     if args.add_uniform_noise is not None:
         check_amplitude(args.add_uniform_noise)
+    trace = getattr(args, "trace", None)  # complete and defend only
+    if trace and Path(trace).resolve() in {Path(args.input).resolve(), Path(args.output).resolve()}:
+        raise ValueError(f"--trace {trace} would overwrite the --input or --output file")
     cfg = read_config_json(args.config) if args.config else SplicConfig()
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SplicConfig)}
     return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})

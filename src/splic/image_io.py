@@ -291,7 +291,12 @@ def write_csv(path, header: str, rows):
 def write_trace_csv(trace: ConvergenceTrace, path, planes: int):
     """Write the trace of a solve of `planes` planes as CSV, atomically: to
     `path` for one plane, else plane i's rows to `<stem>.c<i><suffix>` for
-    each i below `planes`, header only for a plane that took no step."""
+    each i below `planes`, header only for a plane that took no step.  A
+    second plane's rows with `planes` 1, or a plane >= `planes`, raise
+    ValueError before any write."""
+    extra = np.unique(trace.plane)[1:] if planes == 1 else np.setdiff1d(trace.plane, range(planes))
+    if extra.size:
+        raise ValueError(f"trace holds rows of plane {extra[0]}; planes={planes} gives it no file")
     path = Path(path)
     files = [(path, trace)]
     if planes > 1:

@@ -2,12 +2,12 @@
 
 One pass (`splic_complete`) starts from the anchor-masked image, and in
 blocks of `inner_steps` iterations: takes the top-r singular triplets
-(r the target rank) and rebuilds the iterate from them,
-steps against the smoothed-rank and TV gradients, and projects anchor
-pixels back to their fixed values.  After each block the smoothness
-parameter delta shrinks by the factor rho, sharpening the rank surrogate;
-the run stops once the normalized change across a whole block drops below
-epsilon, or the iteration budget runs out.
+(r the target rank) and rebuilds the iterate from them, steps against
+the smoothed-rank and TV gradients, and projects anchor pixels back to
+their fixed values.  After each block the smoothness parameter delta
+shrinks by the factor rho, sharpening the rank surrogate; the run stops
+once the normalized change across a whole block drops below epsilon, or
+the iteration budget runs out.
 
 The rank-term step is preconditioned by delta^2: the raw surrogate
 gradient grows like 1/delta as delta shrinks, so a fixed step size would
@@ -41,11 +41,10 @@ longer step as its planes alone.  Larger images take the exact path, for
 q triplets, at the first step of a pass only; every later step takes the
 warm path of `svd`, one block power step from the plane's right bases of
 the step before, since the iterate moves little between steps.  A plane
-whose warm triplets fail the check ||current^T u - sigma v||_F <=
-sigma_r over the top r (or are not finite) takes the exact path for that
-step, alone.  The warm path moves the output by more than rounding, so
-its accuracy is gated by a test against the exact path over the corpus;
-the final `low_rank` rebuild is always exact.
+whose warm triplets fail their residual check (see `_top_r`) takes the
+exact path for that step, alone.  The warm path moves the output by more
+than rounding, so its accuracy is gated by a test against the exact path
+over the corpus; the final `low_rank` rebuild is always exact.
 
 Both take an (m, n) image or a (k, m, n) stack of planes (the channels of
 a colour image) that share the mask, and step the whole stack in one
@@ -62,7 +61,7 @@ from __future__ import annotations
 
 import numbers
 import typing
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class SplicConfig:
     rho      per-block decay of the smoothness parameter, in (0, 1)
     mu       gradient step size
     r        target rank; None means round_half_up(min(m, n) / 4) (flag --rank)
-    epsilon  stop threshold on a block's unit-frame ||X_after - X_before||_F / (m * n)
+    epsilon  stop threshold on a block's change, the trace's `rel_change`
     maxiter  iteration budget, exact: counts inner steps, so the last
              block may be cut short
     inner_steps  iterations per fixed-delta block
@@ -173,15 +172,17 @@ FIELD_TYPES = {
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
-    """One solve's per-iteration trace, as six equal-length columns.
+    """One solve's per-block trace, as six equal-length columns.
 
-    Each row is one plane at one step: its index in the input stack
-    (`plane`, 0 for an (m, n) image), its iteration `t`, the block's
-    `delta`, `rel_change` between its projected iterates, the smoothed
-    rank `srf` of its truncated iterate at that delta and the roughness
-    `tv` of its projected iterate, all in the plane's unit frame.  Rows
-    go in step order, and within a step the live planes go in index order;
-    a plane that took no step has no rows.
+    Each row is one plane at the end of one block: its index in the input
+    stack (`plane`, 0 for an (m, n) image), its step count `t`, the
+    block's `delta`, `rel_change` = ||X_end - X_start||_F / (m * n) over
+    the block, which the stop compares with epsilon, the smoothed rank
+    `srf` of the block's last truncated iterate at that delta and the
+    roughness `tv` of its last projected iterate, all in the plane's unit
+    frame.  Rows go in block order, and within a block the live planes in
+    index order; a plane that took no step has no rows.  A plane's last
+    row says why it stopped: `rel_change <= epsilon`, else `t == maxiter`.
     """
 
     plane: np.ndarray
@@ -219,9 +220,9 @@ class CompletionResult:
                exactly, re-estimated pixels optionally clipped to [0, 1]
     low_rank   rank-r reduction of the final iterate (never clipped);
                this is the surface whose numerical rank is capped at r
-    trace      every plane's iterations, one row each; its `plane`
-               column tells the planes of a stack apart
-    iterations the trace's length: for a stack, the total over planes
+    trace      every plane's blocks, one row each; its `plane` column
+               tells the planes of a stack apart
+    iterations the steps taken: for a stack, the total over planes
     converged  whether every plane converged
 
     For a (k, m, n) stack input both surfaces are (k, m, n).
@@ -230,11 +231,8 @@ class CompletionResult:
     completed: np.ndarray
     low_rank: np.ndarray
     trace: ConvergenceTrace
+    iterations: int
     converged: bool
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
 
 
 def relative_change(x_new, x_old):
@@ -319,8 +317,9 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     mask; the module docstring says how the planes of a stack retire and
     how each is solved in its unit frame.  For a stack, `completed` and
     `low_rank` are (k, m, n).  Either way `trace` is one table of every
-    plane's rows, told apart by its `plane` column, `iterations` is its
-    length and `converged` means every plane converged.
+    plane's rows, one per block, told apart by its `plane` column;
+    `iterations` is the sum of the planes' step counts and `converged`
+    means every plane converged.
 
     Every finite input gets a result, in the caller's frame: a value that
     exceeds the largest float there reads inf.  Anchors are returned as
@@ -350,22 +349,20 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     final = np.zeros_like(planes)
     live = np.flatnonzero(delta)
     current, delta = current[live], delta[live]
-    steps = []  # per step, a tuple of the trace's columns for the live planes
+    blocks = []  # per block, a tuple of the trace's columns for the live planes
     converged = np.ones(k, dtype=bool)
     basis = None
-    t = 0
+    t = iterations = 0
     while live.size:
         block_start = current
         dd = (delta * delta)[:, None, None]
         for _ in range(min(cfg.inner_steps, cfg.maxiter - t)):
             f, basis = _top_r(current, r, q, basis)
-            x_next = _step(current, f, anchor, delta, dd, cfg, tv_grad)
+            current = _step(current, f, anchor, delta, dd, cfg, tv_grad)
             t += 1
-            rel = relative_change(x_next, current)
-            srf = srf_value_from_sigma(f.sigma, delta)
-            steps.append((live, np.full(live.size, t), delta, rel, srf, tv_value(x_next)))
-            current = x_next
         block_rel = relative_change(current, block_start)
+        srf = srf_value_from_sigma(f.sigma, delta)
+        blocks.append((live, np.full(live.size, t), delta, block_rel, srf, tv_value(current)))
         # floored where delta^2 is the smallest normal float, instead of
         # underflowing to 0: the rank term has vanished there, and
         # sigma = 0 still gives the surrogate's limit exp(-0) = 1, not 0 / 0
@@ -373,6 +370,7 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
         done = block_rel <= cfg.epsilon
         converged[live] = done
         retire = done | (t >= cfg.maxiter)
+        iterations += t * np.count_nonzero(retire)
         if retire.any():
             final[live[retire]] = current[retire]
             keep = ~retire
@@ -393,7 +391,8 @@ def splic_complete(x, mask, cfg: SplicConfig) -> CompletionResult:
     return CompletionResult(
         completed=completed,
         low_rank=low_rank,
-        trace=_concat(steps),
+        trace=_concat(blocks),
+        iterations=iterations,
         converged=bool(converged.all()),
     )
 
@@ -405,7 +404,8 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
     mask, anchoring the pass-1 estimates and re-estimating the original
     anchors.  Each pass restarts the delta schedule from its own input;
     the traces are concatenated, the first pass's rows before the
-    second's (the restart is visible, per plane, as a delta jump).
+    second's (the restart is visible, per plane, as a delta jump and a
+    step count that starts again), and `iterations` sums both passes.
     A (k, m, n) stack shares the mask across its planes and gives results
     shaped as `splic_complete` gives them for a stack.  Each pass needs an
     anchor, so the mask must leave a target; both are checked before pass 1
@@ -421,13 +421,13 @@ def splic_alternated(x, cfg: SplicConfig) -> CompletionResult:
             f"anchor_fraction {cfg.anchor_fraction} anchors {m * n} of {m * n} "
             "pixels; two-pass mode needs at least one anchor and one target"
         )
-    first = splic_complete(arr, mask, cfg)
-    completed, trace, converged = first.completed, first.trace, first.converged
-    del first  # its low-rank surface, unused, is freed before the second pass
-    second = splic_complete(completed, complement(mask), cfg)
+    # pass 1's low-rank surface, unused, is freed before pass 2
+    first = replace(splic_complete(arr, mask, cfg), low_rank=None)
+    second = splic_complete(first.completed, complement(mask), cfg)
     return CompletionResult(
         completed=second.completed,
         low_rank=second.low_rank,
-        trace=_concat([trace.columns(), second.trace.columns()]),
-        converged=converged and second.converged,
+        trace=_concat([first.trace.columns(), second.trace.columns()]),
+        iterations=first.iterations + second.iterations,
+        converged=first.converged and second.converged,
     )

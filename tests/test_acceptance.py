@@ -185,12 +185,10 @@ def test_criterion_7_projection_identities():
     with recorded_steps() as steps:
         res = splic_complete(scene, mask, cfg)
     anchor_ok = [np.array_equal(xh[0][anchors], scene[anchors]) for xh in steps]
+    # one trace row per block, each 7 steps on from the last
     deltas = res.trace.delta
-    blocked = len(res.trace) % 7 == 0
-    blocks = deltas.reshape(-1, 7)
-    geometric = all(np.all(b == b[0]) for b in blocks) and all(
-        blocks[k + 1][0] == blocks[k][0] * 0.45 for k in range(len(blocks) - 1)
-    )
+    blocked = bool(np.all(np.diff(res.trace.t, prepend=0) == 7))
+    geometric = all(deltas[k + 1] == deltas[k] * 0.45 for k in range(len(deltas) - 1))
     elapsed = time.perf_counter() - start
     _report(
         "criterion 7: projection and schedule invariants",

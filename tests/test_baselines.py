@@ -334,9 +334,11 @@ def test_srf_only_shares_the_delta_schedule():
     full = splic_complete(x, mask, cfg)
     assert plain.trace.delta[0] == full.trace.delta[0]
     for res in (plain, full):
-        deltas = res.trace.delta.reshape(-1, cfg.inner_steps)
+        # one row per block, each inner_steps steps on from the last
+        deltas = res.trace.delta
+        assert np.all(np.diff(res.trace.t, prepend=0) == cfg.inner_steps)
         for k in range(len(deltas) - 1):
-            assert deltas[k + 1][0] == deltas[k][0] * cfg.rho
+            assert deltas[k + 1] == deltas[k] * cfg.rho
 
 
 def test_tv_term_helps_on_noisy_images():

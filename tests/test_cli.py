@@ -233,6 +233,28 @@ def test_trace_csv_written(tmp_path, scene_file):
     assert len(rows) > 7
 
 
+@pytest.mark.parametrize("command", ["complete", "defend"])
+@pytest.mark.parametrize("target", ["output", "input"])
+def test_trace_naming_the_input_or_output_exits_2_before_any_read(
+    tmp_path, scene_file, monkeypatch, command, target
+):
+    # `--trace o.pgm` once replaced the written image with the trace CSV,
+    # and `--trace scene.pgm` the input
+    out = tmp_path / "o.pgm"
+    trace = tmp_path / "sub" / ".." / (out if target == "output" else scene_file).name
+    given = scene_file.read_bytes()
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli_module, "read_image", no_read)
+    code, err = run_cli(command, "--input", scene_file, "--output", out, "--trace", trace)
+    assert code == 2
+    assert f"--trace {trace} would overwrite the --input or --output file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.pgm"]
+    assert scene_file.read_bytes() == given
+
+
 def test_config_file_with_flag_override(tmp_path, scene_file):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"maxiter": 7, "lambda": 0.01}')
@@ -373,8 +395,10 @@ def test_defend_trace_contains_two_passes(tmp_path, scene_file):
     rows = list(csv.DictReader(trace.open()))
     ts = [int(r["t"]) for r in rows]
     deltas = [float(r["delta"]) for r in rows]
-    restarts = [i for i in range(1, len(ts)) if ts[i] == 1]
+    # one row per block: each pass's step count starts again
+    restarts = [i for i in range(1, len(ts)) if ts[i] < ts[i - 1]]
     assert len(restarts) == 1
+    assert ts[0] == ts[restarts[0]] == 7
     assert deltas[restarts[0]] > deltas[restarts[0] - 1]
 
 

@@ -391,7 +391,7 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     rows = path.read_text().splitlines()
     assert len(rows) == len(res.trace) + 1
     first = rows[1].split(",")
-    assert int(first[0]) == 1
+    assert int(first[0]) == SplicConfig().inner_steps  # the first block's end
     assert float(first[1]) == res.trace.delta[0]
 
 
@@ -415,6 +415,18 @@ def test_one_plane_of_a_stack_trace_writes_its_path(tmp_path):
     solo = tmp_path / "solo" / "s.csv"
     write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo, 1)
     assert (tmp_path / "p1.csv").read_bytes() == solo.read_bytes()
+
+
+def test_trace_rows_no_file_would_hold_are_rejected_before_any_write(tmp_path):
+    # planes=1 once wrote a 3-plane stack's rows interleaved under one
+    # header, and planes=2 silently dropped plane 2's rows
+    planes = np.stack([make_test_image(i, 24) for i in range(3)])
+    trace = splic_complete(planes, generate_mask(24, 24, 0.5, 1), SplicConfig()).trace
+    for count, plane in ((1, 1), (2, 2)):
+        message = f"trace holds rows of plane {plane}; planes={count} gives it no file"
+        with pytest.raises(ValueError, match=message):
+            write_trace_csv(trace, tmp_path / "t.csv", count)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_write_is_atomic(tmp_path, monkeypatch):

@@ -204,7 +204,7 @@ def test_large_images_solve_finite_and_silent():
 def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale):
     # at these scales the trace's sums of squares and 2 delta^2 overflow in
     # the caller's frame; the steps run in the unit frame, and the trace
-    # holds their values as they computed them there
+    # holds their values as they computed them there, one row per block
     x = add_uniform_noise(make_test_image(2, side), 0.05, 2) * scale
     mask = generate_mask(side, side, 0.5, 1)
     for tv_mode in TV_MODES:
@@ -217,9 +217,11 @@ def test_trace_just_inside_the_magnitude_limit_is_finite_and_silent(side, scale)
         # every projected iterate holds the unit-frame anchors, the start
         start = np.where(mask == 1.0, frames[0][0], 0.0)
         ends = [start] + [frame[0] for frame in frames]
+        t_prev = 0
         for t, rel, tv in zip(trace.t.tolist(), trace.rel_change.tolist(), trace.tv.tolist()):
-            assert rel == relative_change(ends[t], ends[t - 1]), (tv_mode, t)
+            assert rel == relative_change(ends[t], ends[t_prev]), (tv_mode, t)
             assert tv == tv_value(ends[t]), (tv_mode, t)
+            t_prev = t
 
 
 @pytest.mark.parametrize("tv_mode", TV_MODES)
@@ -421,6 +423,16 @@ def test_every_valid_input_solves_finite_or_fails_before_the_first_step(problem,
         assert np.all((targets >= 0.0) & (targets <= 1.0))
 
 
+def _live_planes_per_step(trace):
+    """The planes each step of one pass stepped, read from its block
+    rows: a block's rows share their `t`, and it took t - t_prev steps."""
+    live, t_prev = [], 0
+    for t in np.unique(trace.t).tolist():
+        live += [trace.plane[trace.t == t]] * (t - t_prev)
+        t_prev = t
+    return live
+
+
 @pytest.mark.parametrize("tv_mode", TV_MODES)
 @pytest.mark.parametrize("stacked", [False, True])
 def test_every_iterate_holds_the_first_iterates_anchors(tv_mode, stacked):
@@ -436,7 +448,8 @@ def test_every_iterate_holds_the_first_iterates_anchors(tv_mode, stacked):
     if stacked:
         # the planes retire in different blocks
         assert len(set(np.bincount(res.trace.plane).tolist())) > 1
-    live = np.split(res.trace.plane, np.cumsum([s.shape[0] for s in steps])[:-1])
+    live = _live_planes_per_step(res.trace)
+    assert len(live) == len(steps)
     first = steps[0][:, anchors]
     for planes, step in zip(live, steps):
         assert step[:, anchors].tobytes() == first[planes].tobytes()
@@ -524,12 +537,13 @@ def test_alternated_trace_concatenates_passes():
     x = make_test_image(1, 24)
     res = splic_alternated(x, SplicConfig(seed=4))
     ts = res.trace.t.tolist()
-    restarts = [i for i in range(1, len(ts)) if ts[i] == 1]
+    restarts = [i for i in range(1, len(ts)) if ts[i] < ts[i - 1]]
     assert len(restarts) == 1
     deltas = res.trace.delta
     boundary = restarts[0]
     assert deltas[boundary] > deltas[boundary - 1]  # schedule restarted
-    assert res.iterations == len(res.trace)
+    assert ts[0] == ts[boundary] == SplicConfig().inner_steps  # one row per block
+    assert res.iterations == ts[boundary - 1] + ts[-1]
 
 
 def test_anchor_fidelity_at_every_iteration():
@@ -549,13 +563,12 @@ def test_delta_schedule_geometric_and_blocked():
     mask = generate_mask(24, 24, 0.5, 2)
     cfg = SplicConfig()
     res = splic_complete(x, mask, cfg)
+    # one row per block, each inner_steps steps on from the last
     deltas = res.trace.delta
-    assert len(res.trace) % cfg.inner_steps == 0
-    blocks = deltas.reshape(-1, cfg.inner_steps)
-    for block in blocks:
-        assert np.all(block == block[0])
-    for k in range(len(blocks) - 1):
-        assert blocks[k + 1][0] == blocks[k][0] * cfg.rho  # exact float step
+    assert len(res.trace) > 1
+    assert np.all(np.diff(res.trace.t, prepend=0) == cfg.inner_steps)
+    for k in range(len(deltas) - 1):
+        assert deltas[k + 1] == deltas[k] * cfg.rho  # exact float step
 
 
 def test_trace_srf_capped_by_rank():
@@ -577,9 +590,10 @@ def test_maxiter_budget_is_exact():
     x = make_test_image(0, 24)
     mask = generate_mask(24, 24, 0.5, 2)
     res = splic_complete(x, mask, SplicConfig(maxiter=10))
-    assert res.iterations == len(res.trace) == 10
-    assert res.trace.t.tolist() == list(range(1, 11))
-    assert res.trace.plane.tolist() == [0] * 10
+    assert res.iterations == 10
+    # a full block of 7, then one cut to the budget's last 3 steps
+    assert res.trace.t.tolist() == [7, 10]
+    assert res.trace.plane.tolist() == [0] * 2
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -685,7 +699,8 @@ def _lapack_top_r(x, rank, start=None):
 def _full_spectrum_complete(x, mask, cfg):
     """Reference loop that zero-pads the spectrum past rank r to full length
     and rebuilds over all min(m, n) columns; returns the completed and
-    low-rank surfaces, the iteration count and the trace srf values."""
+    low-rank surfaces, the iteration count and the trace srf values, one
+    per block, at its last step."""
     m, n = x.shape
     r = cfg.resolve_rank(m, n)
     anchor = mask == 1.0
@@ -707,8 +722,8 @@ def _full_spectrum_complete(x, mask, cfg):
                 delta * delta * g_rank + cfg.lam * tv_grad(truncated)
             )
             current = np.where(anchor, x, x_tilde)
-            srfs.append(srf_value_from_sigma(sigma_r, delta))
             t += 1
+        srfs.append(srf_value_from_sigma(sigma_r, delta))
         block_rel = relative_change(current, block_start)
         delta *= cfg.rho
     f = svd(current)
@@ -763,14 +778,14 @@ def _noisy_planes(shape, seed):
 
 
 def _assert_stack_equals_solo(stacked, solos):
-    assert stacked.iterations == len(stacked.trace) == sum(s.iterations for s in solos)
+    assert stacked.iterations == sum(s.iterations for s in solos)
     assert stacked.converged == all(s.converged for s in solos)
     assert set(stacked.trace.plane.tolist()) == set(range(len(solos)))
     for j, solo in enumerate(solos):
         assert np.array_equal(stacked.completed[j], solo.completed)
         assert np.array_equal(stacked.low_rank[j], solo.low_rank)
         rows = stacked.trace.for_plane(j)
-        assert len(rows) == solo.iterations
+        assert len(rows) == len(solo.trace)
         assert np.all(rows.plane == j) and np.all(solo.trace.plane == 0)
         assert_traces_equal(dataclasses.replace(rows, plane=solo.trace.plane), solo.trace)
 
@@ -820,12 +835,39 @@ def test_stack_of_one_equals_plane():
     _assert_stack_equals_solo(splic_complete(x[None], mask, SplicConfig()), [solo])
 
 
-def _assert_step_then_plane_order(t, plane):
-    # one row per live plane per step: (t, plane) pairs strictly increase,
-    # and each plane runs t = 1, 2, ... until it retires
+def _assert_block_then_plane_order(t, plane, inner_steps):
+    # one row per live plane per block: (t, plane) pairs strictly increase,
+    # and each plane runs t = inner_steps, 2 inner_steps, ... until it retires
     assert np.all(np.diff(t * (plane.max() + 1) + plane) > 0)
     for j in np.unique(plane):
-        assert np.array_equal(t[plane == j], np.arange(1, np.count_nonzero(plane == j) + 1))
+        rows = np.count_nonzero(plane == j)
+        assert np.array_equal(t[plane == j], inner_steps * np.arange(1, rows + 1))
+
+
+def test_each_trace_row_records_its_blocks_change_and_the_last_why_the_plane_stopped():
+    planes = _noisy_planes((24, 40), 2)
+    mask = generate_mask(24, 40, 0.5, 5)
+    cfg = SplicConfig(maxiter=55)
+    with recorded_steps() as steps:
+        res = splic_complete(planes, mask, cfg)
+    live = _live_planes_per_step(res.trace)
+    assert len(live) == len(steps)
+    # each plane's unit-frame iterates: its anchors, then one per step
+    iterates = {j: [np.where(mask == 1.0, steps[0][j], 0.0)] for j in range(3)}
+    for alive, step in zip(live, steps):
+        for j, iterate in zip(alive.tolist(), step):
+            iterates[j].append(iterate)
+    last = {}
+    trace = res.trace
+    for j, t, rel in zip(trace.plane.tolist(), trace.t.tolist(), trace.rel_change.tolist()):
+        assert rel == relative_change(iterates[j][t], iterates[j][last.get(j, 0)]), (j, t)
+        last[j] = t
+    rows = [trace.for_plane(j) for j in range(3)]
+    assert [r.t[-1] for r in rows] == [49, 55, 55]
+    for r in rows:
+        assert r.rel_change[-1] <= cfg.epsilon or r.t[-1] == cfg.maxiter
+    assert res.converged == all(r.rel_change[-1] <= cfg.epsilon for r in rows)
+    assert res.iterations == sum(r.t[-1] for r in rows) == 159
 
 
 def test_stack_trace_rows_in_step_then_plane_order():
@@ -834,13 +876,13 @@ def test_stack_trace_rows_in_step_then_plane_order():
     cfg = SplicConfig(seed=5)
     res = splic_complete(planes, mask, cfg)
     assert len({len(res.trace.for_plane(j)) for j in range(3)}) > 1  # planes retire apart
-    _assert_step_then_plane_order(res.trace.t, res.trace.plane)
+    _assert_block_then_plane_order(res.trace.t, res.trace.plane, cfg.inner_steps)
     # two passes: all of the first pass's rows, then the second's
     res = splic_alternated(planes, cfg)
     t, plane = res.trace.t, res.trace.plane
     restart = int(np.flatnonzero(np.diff(t) < 0)[0]) + 1
-    _assert_step_then_plane_order(t[:restart], plane[:restart])
-    _assert_step_then_plane_order(t[restart:], plane[restart:])
+    _assert_block_then_plane_order(t[:restart], plane[:restart], cfg.inner_steps)
+    _assert_block_then_plane_order(t[restart:], plane[restart:], cfg.inner_steps)
 
 
 def test_stack_input_validation():
