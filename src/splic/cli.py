@@ -23,6 +23,7 @@ from .image_io import (
     read_header,
     read_image,
     read_mask,
+    trace_paths,
     write_csv,
     write_image,
     write_trace_csv,
@@ -70,13 +71,9 @@ def _solver_flags(parser, with_mask=True, with_fraction=True):
 
 def _build_config(args) -> SplicConfig:
     """The run's config; every command calls this first, so it also checks
-    --add-uniform-noise, once for a whole batch, and that --trace names
-    neither the --input nor the --output file."""
+    --add-uniform-noise, once for a whole batch."""
     if args.add_uniform_noise is not None:
         check_amplitude(args.add_uniform_noise)
-    trace = getattr(args, "trace", None)  # complete and defend only
-    if trace and Path(trace).resolve() in {Path(args.input).resolve(), Path(args.output).resolve()}:
-        raise ValueError(f"--trace {trace} would overwrite the --input or --output file")
     cfg = read_config_json(args.config) if args.config else SplicConfig()
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SplicConfig)}
     return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
@@ -151,7 +148,17 @@ def _mask(args, cfg, shape) -> np.ndarray:
     return generate_mask(*shape, cfg.anchor_fraction, cfg.seed)
 
 
+def _check_trace_path(args):
+    """Reject a --trace whose CSV, or one of a colour image's three
+    per-channel CSVs, would overwrite the --input or --output file."""
+    images = {Path(args.input).resolve(), Path(args.output).resolve()}
+    if any(p.resolve() in images for p in trace_paths(args.trace, 1) + trace_paths(args.trace, 3)):
+        raise ValueError(f"--trace {args.trace} would overwrite the --input or --output file")
+
+
 def cmd_complete(args) -> int:
+    if args.trace:
+        _check_trace_path(args)
     cfg = _build_config(args)
     image = _read_input(args, cfg)
     mask = _mask(args, cfg, image.shape[-2:])
@@ -174,6 +181,8 @@ def cmd_defend(args) -> int:
         raise ValueError("--jobs works only with --batch")
     if args.batch and args.trace:
         raise ValueError("--trace works only without --batch")
+    if args.trace:
+        _check_trace_path(args)
     if args.reference_dir and not args.batch:
         raise ValueError("--reference-dir works only with --batch")
     if args.summary and not args.reference_dir:

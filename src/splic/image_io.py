@@ -288,6 +288,14 @@ def write_csv(path, header: str, rows):
     atomic_write(path, text.getvalue().encode())
 
 
+def trace_paths(path, planes: int) -> list[Path]:
+    """The files `write_trace_csv` writes for a solve of `planes` planes."""
+    path = Path(path)
+    if planes == 1:
+        return [path]
+    return [path.with_suffix(f".c{i}{path.suffix}") for i in range(planes)]
+
+
 def write_trace_csv(trace: ConvergenceTrace, path, planes: int):
     """Write the trace of a solve of `planes` planes as CSV, atomically: to
     `path` for one plane, else plane i's rows to `<stem>.c<i><suffix>` for
@@ -297,14 +305,10 @@ def write_trace_csv(trace: ConvergenceTrace, path, planes: int):
     extra = np.unique(trace.plane)[1:] if planes == 1 else np.setdiff1d(trace.plane, range(planes))
     if extra.size:
         raise ValueError(f"trace holds rows of plane {extra[0]}; planes={planes} gives it no file")
-    path = Path(path)
-    files = [(path, trace)]
-    if planes > 1:
-        suffix = path.suffix
-        files = [(path.with_suffix(f".c{i}{suffix}"), trace.for_plane(i)) for i in range(planes)]
-    for target, part in files:
+    for i, target in enumerate(trace_paths(path, planes)):
         # every column but `plane`; .tolist() gives Python numbers, not numpy scalars
-        write_csv(target, TRACE_CSV_HEADER, zip(*(c.tolist() for c in part.columns()[1:])))
+        columns = (trace if planes == 1 else trace.for_plane(i)).columns()[1:]
+        write_csv(target, TRACE_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def config_to_dict(cfg: SplicConfig) -> dict:

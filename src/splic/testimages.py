@@ -23,12 +23,23 @@ import numpy as np
 SPECTRUM_RATIOS = (0.32, 0.14)
 
 
+def _axis(n: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, n)
+
+
 def _bump(u: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-((u - center) ** 2) / (2.0 * width * width))
 
 
 def _soft_edge(u: np.ndarray, edge: float, sharpness: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-(u - edge) * sharpness))
+
+
+def _shape_pair(shape) -> tuple[int, int]:
+    if isinstance(shape, int):
+        return shape, shape
+    m, n = shape
+    return int(m), int(n)
 
 
 def make_test_image(index: int, shape=32) -> np.ndarray:
@@ -48,12 +59,12 @@ def make_test_image(index: int, shape=32) -> np.ndarray:
     (Halko, Martinsson & Tropp, SIAM Rev. 2011), at O(m n) cost per pass
     instead of the O(m n min(m, n)) of a full SVD.
     """
-    m, n = (shape, shape) if isinstance(shape, int) else map(int, shape)
+    m, n = _shape_pair(shape)
     if m < 3 or n < 3:
         raise ValueError(f"scene must be at least 3x3, got {m}x{n}")
     rng = np.random.default_rng(911_000 + 7919 * index + 131 * (m * 1000 + n))
-    rows = np.linspace(0.0, 1.0, m)[:, None]
-    cols = np.linspace(0.0, 1.0, n)[None, :]
+    rows = _axis(m)[:, None]
+    cols = _axis(n)[None, :]
 
     scene = np.zeros((m, n))
     a, b = rng.uniform(0.1, 0.3, size=2)

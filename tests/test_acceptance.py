@@ -16,7 +16,7 @@ from splic.image_io import decode_image, encode_image, write_image, PnmParseErro
 from splic.linalg import svd
 from splic.metrics import psnr
 from splic.sampling import generate_mask
-from splic.solver import SplicConfig, splic_complete
+from splic.solver import SplicConfig, relative_change, splic_complete
 from splic.srf import srf_gradient, srf_value_from_sigma
 from splic.testimages import add_uniform_noise, make_test_image
 from splic.tv import tv_gradient, tv_value
@@ -81,8 +81,12 @@ def test_criterion_3_convergence_trace():
     for i in range(4):
         x = make_test_image(i, 32)
         mask = generate_mask(32, 32, 0.5, 7 + i)
-        res = splic_complete(x, mask, cfg)
-        rels = res.trace.rel_change
+        with recorded_steps() as frames:
+            res = splic_complete(x, mask, cfg)
+        # the trace holds one row per block; rebuild the change of every step
+        # from the projected iterates, the first of which holds the anchors
+        iterates = [np.where(mask == 1.0, frames[0][0], 0.0)] + [f[0] for f in frames]
+        rels = np.array([relative_change(b, a) for a, b in zip(iterates, iterates[1:])])
         reached &= bool(np.any(rels < 1e-4)) and res.iterations <= 210
         maxima = rels.reshape(-1, cfg.inner_steps).max(axis=1)
         monotone &= all(

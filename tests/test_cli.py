@@ -234,14 +234,18 @@ def test_trace_csv_written(tmp_path, scene_file):
 
 
 @pytest.mark.parametrize("command", ["complete", "defend"])
-@pytest.mark.parametrize("target", ["output", "input"])
+@pytest.mark.parametrize(
+    "out_name, trace_name",
+    [("o.pgm", "o.pgm"), ("o.pgm", "scene.pgm"), ("o.c1.pgm", "o.pgm")],
+)
 def test_trace_naming_the_input_or_output_exits_2_before_any_read(
-    tmp_path, scene_file, monkeypatch, command, target
+    tmp_path, scene_file, monkeypatch, command, out_name, trace_name
 ):
     # `--trace o.pgm` once replaced the written image with the trace CSV,
-    # and `--trace scene.pgm` the input
-    out = tmp_path / "o.pgm"
-    trace = tmp_path / "sub" / ".." / (out if target == "output" else scene_file).name
+    # and `--trace scene.pgm` the input; a colour input's trace goes to
+    # o.c0.pgm to o.c2.pgm, so `--output o.c1.pgm` is rejected as well
+    out = tmp_path / out_name
+    trace = tmp_path / "sub" / ".." / trace_name
     given = scene_file.read_bytes()
 
     def no_read(path):
