@@ -31,7 +31,7 @@ def main():
         scene = make_test_image(i, args.size)
         mask = generate_mask(args.size, args.size, args.anchor_fraction, args.seed + i)
         res = splic_complete(scene, mask, cfg)
-        write_trace_csv(res.trace, out / f"scene{i:02d}_trace.csv", 1)
+        write_trace_csv(res.trace, out / f"scene{i:02d}_trace.csv")
         print(
             f"scene {i}: iterations={res.iterations} converged={res.converged} "
             f"block changes={' '.join(f'{v:.1e}' for v in res.trace.rel_change)}"

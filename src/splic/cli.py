@@ -23,7 +23,6 @@ from .image_io import (
     read_header,
     read_image,
     read_mask,
-    trace_paths,
     write_csv,
     write_image,
     write_trace_csv,
@@ -134,10 +133,10 @@ def _exit_code(args, converged: bool) -> int:
 
 
 def _finish(args, res, cfg) -> int:
-    """Write the completion and, with --trace, its trace CSVs; the exit code."""
+    """Write the completion and, with --trace, its trace CSV; the exit code."""
     _write_output(res.completed, args.output, cfg)
     if args.trace:
-        write_trace_csv(res.trace, args.trace, 1 if res.completed.ndim == 2 else len(res.completed))
+        write_trace_csv(res.trace, args.trace)
     return _exit_code(args, res.converged)
 
 
@@ -148,17 +147,20 @@ def _mask(args, cfg, shape) -> np.ndarray:
     return generate_mask(*shape, cfg.anchor_fraction, cfg.seed)
 
 
-def _check_trace_path(args):
-    """Reject a --trace whose CSV, or one of a colour image's three
-    per-channel CSVs, would overwrite the --input or --output file."""
-    images = {Path(args.input).resolve(), Path(args.output).resolve()}
-    if any(p.resolve() in images for p in trace_paths(args.trace, 1) + trace_paths(args.trace, 3)):
-        raise ValueError(f"--trace {args.trace} would overwrite the --input or --output file")
+def _check_csv_path(flag, path, files):
+    """Reject the CSV `path` that `flag` gave if it resolves to one of
+    `files` (None for a flag not given): every file the command reads and
+    every image it writes, which the CSV would replace."""
+    if path is None:
+        return
+    target = Path(path).resolve()
+    for other in filter(None, files):
+        if Path(other).resolve() == target:
+            raise ValueError(f"{flag} {path} would overwrite {other}, a file the command uses")
 
 
 def cmd_complete(args) -> int:
-    if args.trace:
-        _check_trace_path(args)
+    _check_csv_path("--trace", args.trace, (args.input, args.output, args.mask, args.config))
     cfg = _build_config(args)
     image = _read_input(args, cfg)
     mask = _mask(args, cfg, image.shape[-2:])
@@ -181,8 +183,7 @@ def cmd_defend(args) -> int:
         raise ValueError("--jobs works only with --batch")
     if args.batch and args.trace:
         raise ValueError("--trace works only without --batch")
-    if args.trace:
-        _check_trace_path(args)
+    _check_csv_path("--trace", args.trace, (args.input, args.output, args.config))
     if args.reference_dir and not args.batch:
         raise ValueError("--reference-dir works only with --batch")
     if args.summary and not args.reference_dir:
@@ -332,6 +333,9 @@ def _defend_batch(args, cfg) -> int:
             if not (ref_dir / path.name).is_file():
                 raise ValueError(f"reference file missing: {ref_dir / path.name}")
     out_dir = Path(args.output)
+    # the batch's outputs and references are named as its inputs are
+    named = [d / p.name for d in filter(None, (out_dir, ref_dir)) for p in files]
+    _check_csv_path("--summary", args.summary, [args.config, *files, *named])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def process(group, pool=None):
@@ -390,6 +394,7 @@ def _sweep(cfg, name, flag, text) -> list[SplicConfig]:
 
 
 def cmd_compare(args) -> int:
+    _check_csv_path("--output", args.output, (args.input, args.reference, args.config))
     cfg = _build_config(args)
     runs = [cfg]
     if args.fraction_sweep is not None:
@@ -411,6 +416,11 @@ def cmd_compare(args) -> int:
 def cmd_rank_sweep(args) -> int:
     cfg = _build_config(args)
     runs = _sweep(cfg, "r", "--ranks", args.ranks)
+    out_dir = Path(args.output_dir)
+    stem = Path(args.input).stem
+    images = [out_dir / f"{stem}_r{run_cfg.r}.pgm" for run_cfg in runs]
+    given = (args.input, args.reference, args.mask, args.config)
+    _check_csv_path("--csv", args.csv, (*given, *images))
     image = _read_input(args, cfg)
     if image.ndim != 2:
         raise ValueError("rank-sweep works on single-channel images")
@@ -418,16 +428,14 @@ def cmd_rank_sweep(args) -> int:
         run_cfg.resolve_rank(*image.shape)
     reference = _read_reference(args.reference or args.input, image)
     mask = _mask(args, cfg, image.shape)
-    out_dir = Path(args.output_dir)
-    stem = Path(args.input).stem
     rows = []
     converged = True
-    for run_cfg in runs:
+    for run_cfg, path in zip(runs, images):
         res = splic_complete(image, mask, run_cfg)
         rank_out = numerical_rank(res.low_rank, RANK_TOL)
         quality = psnr(np.clip(res.low_rank, 0.0, 1.0), reference)
         rows.append((run_cfg.r, quality, rank_out, int(res.converged)))
-        _write_output(res.low_rank, out_dir / f"{stem}_r{run_cfg.r}.pgm", run_cfg)
+        _write_output(res.low_rank, path, run_cfg)
         converged &= res.converged
     write_csv(args.csv, "rank,psnr_db,numerical_rank,converged", rows)
     return _exit_code(args, converged)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .solver import ConvergenceTrace, SplicConfig, config_key
 
-# every column of the trace but `plane`, which picks the file a row goes to
-TRACE_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ConvergenceTrace)[1:])
+TRACE_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ConvergenceTrace))
 
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _BINARY_MAGICS = (b"P5", b"P6")
@@ -288,27 +287,12 @@ def write_csv(path, header: str, rows):
     atomic_write(path, text.getvalue().encode())
 
 
-def trace_paths(path, planes: int) -> list[Path]:
-    """The files `write_trace_csv` writes for a solve of `planes` planes."""
-    path = Path(path)
-    if planes == 1:
-        return [path]
-    return [path.with_suffix(f".c{i}{path.suffix}") for i in range(planes)]
-
-
-def write_trace_csv(trace: ConvergenceTrace, path, planes: int):
-    """Write the trace of a solve of `planes` planes as CSV, atomically: to
-    `path` for one plane, else plane i's rows to `<stem>.c<i><suffix>` for
-    each i below `planes`, header only for a plane that took no step.  A
-    second plane's rows with `planes` 1, or a plane >= `planes`, raise
-    ValueError before any write."""
-    extra = np.unique(trace.plane)[1:] if planes == 1 else np.setdiff1d(trace.plane, range(planes))
-    if extra.size:
-        raise ValueError(f"trace holds rows of plane {extra[0]}; planes={planes} gives it no file")
-    for i, target in enumerate(trace_paths(path, planes)):
-        # every column but `plane`; .tolist() gives Python numbers, not numpy scalars
-        columns = (trace if planes == 1 else trace.for_plane(i)).columns()[1:]
-        write_csv(target, TRACE_CSV_HEADER, zip(*(c.tolist() for c in columns)))
+def write_trace_csv(trace: ConvergenceTrace, path):
+    """Write the trace as one CSV table, atomically: a row per trace row,
+    with every column in `ConvergenceTrace` order, `plane` first; a plane
+    that took no step has no rows."""
+    # .tolist() gives Python numbers, not numpy scalars
+    write_csv(path, TRACE_CSV_HEADER, zip(*(c.tolist() for c in trace.columns())))
 
 
 def config_to_dict(cfg: SplicConfig) -> dict:

@@ -126,13 +126,13 @@ class SplicConfig:
                 raise ValueError(f"{config_key(f)} must be {f.type}, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not self.lam >= 0.0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
         # the TV Hessian has spectral norm below 8, so the explicit TV step
-        # x - mu * lam * grad is stable only while mu * lam <= 1/4
-        if self.mu * self.lam > 0.25:
+        # x - mu * lam * grad is stable only while mu * lam <= 1/4 (not NaN)
+        if not self.mu * self.lam <= 0.25:
             raise ValueError(
                 f"mu * lambda must be at most 0.25 for a stable TV step, "
                 f"got {self.mu} * {self.lam} = {self.mu * self.lam}"

@@ -229,23 +229,20 @@ def test_trace_csv_written(tmp_path, scene_file):
         "--trace", trace,
     )
     rows = trace.read_text().splitlines()
-    assert rows[0] == "t,delta,rel_change,srf,tv"
+    assert rows[0] == "plane,t,delta,rel_change,srf,tv"
     assert len(rows) > 7
 
 
 @pytest.mark.parametrize("command", ["complete", "defend"])
-@pytest.mark.parametrize(
-    "out_name, trace_name",
-    [("o.pgm", "o.pgm"), ("o.pgm", "scene.pgm"), ("o.c1.pgm", "o.pgm")],
-)
+@pytest.mark.parametrize("out_name, trace_name", [("o.pgm", "o.pgm"), ("o.pgm", "scene.pgm")])
 def test_trace_naming_the_input_or_output_exits_2_before_any_read(
     tmp_path, scene_file, monkeypatch, command, out_name, trace_name
 ):
     # `--trace o.pgm` once replaced the written image with the trace CSV,
-    # and `--trace scene.pgm` the input; a colour input's trace goes to
-    # o.c0.pgm to o.c2.pgm, so `--output o.c1.pgm` is rejected as well
+    # and `--trace scene.pgm` the input
     out = tmp_path / out_name
     trace = tmp_path / "sub" / ".." / trace_name
+    named = out if trace_name == out_name else scene_file
     given = scene_file.read_bytes()
 
     def no_read(path):
@@ -254,9 +251,72 @@ def test_trace_naming_the_input_or_output_exits_2_before_any_read(
     monkeypatch.setattr(cli_module, "read_image", no_read)
     code, err = run_cli(command, "--input", scene_file, "--output", out, "--trace", trace)
     assert code == 2
-    assert f"--trace {trace} would overwrite the --input or --output file" in err
+    assert f"--trace {trace} would overwrite {named}, a file the command uses" in err
     assert [p.name for p in tmp_path.iterdir()] == ["scene.pgm"]
     assert scene_file.read_bytes() == given
+
+
+@pytest.mark.parametrize("command", ["complete", "defend"])
+def test_trace_beside_an_output_of_its_stem_is_written(tmp_path, scene_file, command):
+    # with one CSV per trace, `--output o.c1.pgm --trace o.pgm` collides
+    # with nothing; it was rejected while a colour trace went to o.c<i>.pgm
+    out, trace = tmp_path / "o.c1.pgm", tmp_path / "o.pgm"
+    code, err = run_cli(command, "--input", scene_file, "--output", out, "--trace", trace)
+    assert code == 0 and err == ""
+    assert read_image(out).shape == (32, 32)
+    assert trace.read_text().startswith("plane,t,delta,rel_change,srf,tv\n0,")
+
+
+_BATCH = "defend --batch --input in --output out --reference-dir ref"
+_SWEEP = "rank-sweep --input g.pgm --ranks 4,2 --output-dir rs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"{_BATCH} --summary out/img0.pgm",
+        f"{_BATCH} --summary in/img1.pgm",
+        f"{_BATCH} --summary ref/img0.pgm",
+        f"{_BATCH} --config cfg.json --summary cfg.json",
+        f"{_SWEEP} --csv rs/g_r4.pgm",
+        f"{_SWEEP} --csv g.pgm",
+        f"{_SWEEP} --mask mask.pgm --csv mask.pgm",
+        "compare --input g.pgm --output g.pgm",
+        "compare --input g.pgm --reference mask.pgm --output mask.pgm",
+        "complete --input g.pgm --output o.pgm --mask mask.pgm --trace mask.pgm",
+        "defend --input g.pgm --output o.pgm --config cfg.json --trace cfg.json",
+    ],
+    ids=[
+        "summary-output", "summary-input", "summary-reference", "summary-config",
+        "csv-output", "csv-input", "csv-mask", "compare-input", "compare-reference",
+        "trace-mask", "trace-config",
+    ],  # fmt: skip
+)
+def test_csv_naming_a_file_the_command_uses_exits_2_before_any_read(
+    tmp_path, monkeypatch, argv
+):
+    # each CSV flag once replaced such a file: the run exited 0 and left
+    # its CSV where the image, mask or config had been
+    for d in ("in", "ref"):
+        for i in range(2):
+            write_image(make_test_image(i, 16), tmp_path / d / f"img{i}.pgm")
+    write_image(make_test_image(2, 16), tmp_path / "g.pgm")
+    write_image(np.ones((16, 16)), tmp_path / "mask.pgm")
+    (tmp_path / "cfg.json").write_text("{}")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    for name in ("read_image", "read_header", "read_mask"):
+        monkeypatch.setattr(cli_module, name, no_read)
+    monkeypatch.chdir(tmp_path)
+    *_, flag, named = argv.split()
+    code, err = run_cli(*argv.split())
+    assert code == 2
+    assert err == f"error: {flag} {named} would overwrite {named}, a file the command uses\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert not (tmp_path / "out").exists() and not (tmp_path / "rs").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, scene_file):
@@ -370,12 +430,11 @@ def test_ppm_with_all_zero_channels_completes_them_to_zero(tmp_path, command, ze
     result = read_image(out)
     assert not result[list(zero)].any()
     assert all(result[i].any() for i in range(3) if i not in zero)
-    # one trace file per channel, header only for a channel that took no step
-    assert sorted(p.name for p in tmp_path.glob("t*.csv")) == ["t.c0.csv", "t.c1.csv", "t.c2.csv"]
-    for i in range(3):
-        rows = (tmp_path / f"t.c{i}.csv").read_text().splitlines()
-        assert rows[0] == "t,delta,rel_change,srf,tv"
-        assert (len(rows) == 1) == (i in zero)
+    # one trace file; a channel that took no step has no rows in it
+    assert sorted(p.name for p in tmp_path.glob("t*.csv")) == ["t.csv"]
+    header, *rows = trace.read_text().splitlines()
+    assert header == "plane,t,delta,rel_change,srf,tv"
+    assert {int(row.split(",")[0]) for row in rows} == set(range(3)) - set(zero)
 
 
 def test_defend_with_every_pixel_anchored_exits_2_before_solving(tmp_path, scene_file):
@@ -952,10 +1011,18 @@ def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
     assert code == 0
     cfg = SplicConfig(seed=6)
     mask = generate_mask(20, 28, cfg.anchor_fraction, cfg.seed)
+    header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+    solo_rows = 0
     for i, plane in enumerate(read_image(src)):
         solo = tmp_path / f"solo{i}.csv"
-        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo, 1)
-        assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
+        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo)
+        solo_header, *solo = solo.read_text().splitlines()
+        assert solo_header == header
+        # plane i's rows are the solo solve's rows with `plane` set to i
+        mine = [row for row in rows if row.split(",")[0] == str(i)]
+        assert mine == [f"{i}," + row.split(",", 1)[1] for row in solo]
+        solo_rows += len(solo)
+    assert len(rows) == solo_rows
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -25,7 +27,7 @@ from splic.image_io import (
     write_trace_csv,
 )
 from splic.sampling import generate_mask
-from splic.solver import ConvergenceTrace, SplicConfig, splic_complete
+from splic.solver import ConvergenceTrace, SplicConfig, splic_alternated, splic_complete
 from splic.testimages import make_test_image
 
 
@@ -361,7 +363,7 @@ def test_trace_csv_header_and_rows(tmp_path):
     # numpy columns print as Python numbers: repr(np.float64(x)) is
     # "np.float64(x)" under numpy >= 2
     trace = ConvergenceTrace(
-        plane=np.array([0, 0]),
+        plane=np.array([0, 1]),
         t=np.array([1, 2]),
         delta=np.array([2.0, 2.0]),
         rel_change=np.array([0.5, 0.25]),
@@ -369,17 +371,18 @@ def test_trace_csv_header_and_rows(tmp_path):
         tv=np.array([3.5, 0.1 + 0.2]),
     )
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, 1)
-    assert TRACE_CSV_HEADER == "t,delta,rel_change,srf,tv"
+    write_trace_csv(trace, path)
+    assert TRACE_CSV_HEADER == "plane,t,delta,rel_change,srf,tv"
     assert path.read_bytes() == (
-        b"t,delta,rel_change,srf,tv\n1,2.0,0.5,1.25,3.5\n2,2.0,0.25,1.0,0.30000000000000004\n"
+        b"plane,t,delta,rel_change,srf,tv\n"
+        b"0,1,2.0,0.5,1.25,3.5\n1,2,2.0,0.25,1.0,0.30000000000000004\n"
     )
 
 
 def test_empty_trace_is_header_only(tmp_path):
     empty = ConvergenceTrace(*(np.array([]) for _ in range(6)))
     assert len(empty) == 0
-    write_trace_csv(empty, tmp_path / "t.csv", 1)
+    write_trace_csv(empty, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text() == TRACE_CSV_HEADER + "\n"
 
 
@@ -387,46 +390,54 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     x = make_test_image(0, 24)
     res = splic_complete(x, generate_mask(24, 24, 0.5, 1), SplicConfig())
     path = tmp_path / "t.csv"
-    write_trace_csv(res.trace, path, 1)
+    write_trace_csv(res.trace, path)
     rows = path.read_text().splitlines()
     assert len(rows) == len(res.trace) + 1
     first = rows[1].split(",")
-    assert int(first[0]) == SplicConfig().inner_steps  # the first block's end
-    assert float(first[1]) == res.trace.delta[0]
+    assert first[0] == "0"  # an (m, n) image is plane 0
+    assert int(first[1]) == SplicConfig().inner_steps  # the first block's end
+    assert float(first[2]) == res.trace.delta[0]
 
 
-def test_stack_trace_writes_one_csv_per_plane(tmp_path):
+def test_stack_trace_csv_holds_each_planes_solo_rows(tmp_path):
+    # a stack's trace once went to one file per plane, t.c0.csv, t.c1.csv
     planes = np.stack([make_test_image(i, 24) for i in range(2)])
     mask = generate_mask(24, 24, 0.5, 1)
-    write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv", 2)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.c0.csv", "t.c1.csv"]
+    write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+    header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+    solo_rows = 0
     for i, plane in enumerate(planes):
-        solo = tmp_path / "solo" / "s.csv"
-        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo, 1)
-        assert (tmp_path / f"t.c{i}.csv").read_bytes() == solo.read_bytes()
+        solo = tmp_path / "solo" / f"s{i}.csv"
+        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo)
+        solo_header, *solo = solo.read_text().splitlines()
+        assert solo_header == header
+        # plane i's rows are the solo solve's rows with `plane` set to i
+        mine = [row for row in rows if row.split(",")[0] == str(i)]
+        assert mine == [f"{i}," + row.split(",", 1)[1] for row in solo]
+        solo_rows += len(solo)
+    assert len(rows) == solo_rows
 
 
-def test_one_plane_of_a_stack_trace_writes_its_path(tmp_path):
-    planes = np.stack([make_test_image(i, 24) for i in range(2)])
-    mask = generate_mask(24, 24, 0.5, 1)
-    trace = splic_complete(planes, mask, SplicConfig()).trace
-    write_trace_csv(trace.for_plane(1), tmp_path / "p1.csv", 1)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv"]
-    solo = tmp_path / "solo" / "s.csv"
-    write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo, 1)
-    assert (tmp_path / "p1.csv").read_bytes() == solo.read_bytes()
-
-
-def test_trace_rows_no_file_would_hold_are_rejected_before_any_write(tmp_path):
-    # planes=1 once wrote a 3-plane stack's rows interleaved under one
-    # header, and planes=2 silently dropped plane 2's rows
-    planes = np.stack([make_test_image(i, 24) for i in range(3)])
-    trace = splic_complete(planes, generate_mask(24, 24, 0.5, 1), SplicConfig()).trace
-    for count, plane in ((1, 1), (2, 2)):
-        message = f"trace holds rows of plane {plane}; planes={count} gives it no file"
-        with pytest.raises(ValueError, match=message):
-            write_trace_csv(trace, tmp_path / "t.csv", count)
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("solve", ["stack-with-zero-plane", "alternated"])
+def test_trace_csv_reads_back_column_for_column(tmp_path, solve):
+    if solve == "alternated":
+        trace = splic_alternated(make_test_image(1, 24), SplicConfig(seed=4)).trace
+    else:
+        planes = np.stack([make_test_image(i, 24) for i in range(3)])
+        planes[1] = 0.0
+        trace = splic_complete(planes, generate_mask(24, 24, 0.5, 1), SplicConfig()).trace
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f.name for f in dataclasses.fields(ConvergenceTrace)]
+    assert len(rows) == len(trace) > 0
+    for j, (name, column) in enumerate(zip(header, trace.columns())):
+        kind = int if name in ("plane", "t") else float
+        assert [kind(row[j]) for row in rows] == column.tolist()
+    planes_written = {int(row[0]) for row in rows}
+    assert planes_written == ({0, 2} if solve == "stack-with-zero-plane" else {0})
 
 
 def test_trace_write_is_atomic(tmp_path, monkeypatch):
@@ -439,7 +450,7 @@ def test_trace_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        write_trace_csv(trace, path, 1)
+        write_trace_csv(trace, path)
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 

@@ -118,4 +118,4 @@ def test_cli_bytes_runs_every_command_and_cuts_only_the_timing(tmp_path):
     assert [line for line in log if line.startswith("exit ")] == ["exit 0"] * 7
     assert a["compare0.csv"].startswith(b"fraction,method,psnr_db,rank,iters\n")
     assert a["methods.csv"].startswith(b"image,fraction,method,psnr_db,rank,iters\n")
-    assert {"batch-1/summary.csv", "batch-2/img02.ppm", "defend.c2.csv"} <= a.keys()
+    assert {"batch-1/summary.csv", "batch-2/img02.ppm", "defend.csv"} <= a.keys()

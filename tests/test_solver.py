@@ -107,6 +107,7 @@ def test_tv_step_bound_mu_times_lambda():
     "call",
     [
         lambda: SplicConfig(lam=np.nan),
+        lambda: SplicConfig(mu=np.inf, lam=0.0),
         lambda: soft_threshold_singular(svd(np.eye(3)), np.nan),
         lambda: usvt(np.eye(3), np.ones((3, 3)), np.nan),
         lambda: numerical_rank(np.eye(3), np.nan),
@@ -114,10 +115,11 @@ def test_tv_step_bound_mu_times_lambda():
         lambda: add_uniform_noise(np.zeros((2, 2)), np.inf, 0),
         lambda: add_uniform_noise(np.zeros((2, 2)), 1e308, 0),
     ],
-    ids=["lambda", "tau", "eta", "tol", "amp-nan", "amp-inf", "amp-1e308"],
+    ids=["lambda", "mu-inf", "tau", "eta", "tol", "amp-nan", "amp-inf", "amp-1e308"],
 )
 def test_nan_and_overflowing_parameters_are_rejected(call):
     # each passed an `x < 0`-style guard: a NaN lambda failed mid-solve,
+    # an infinite mu at lambda 0, whose product is NaN, after one step,
     # NaN tau/eta gave empty completions, a NaN tol gave rank 0, and the
     # amplitudes raised OverflowError
     with pytest.raises(ValueError):
