@@ -1014,9 +1014,9 @@ def test_colour_trace_csvs_match_per_plane_solves(tmp_path):
     header, *rows = (tmp_path / "t.csv").read_text().splitlines()
     solo_rows = 0
     for i, plane in enumerate(read_image(src)):
-        solo = tmp_path / f"solo{i}.csv"
-        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo)
-        solo_header, *solo = solo.read_text().splitlines()
+        solo_csv = tmp_path / f"solo{i}.csv"
+        write_trace_csv(splic_complete(plane, mask, cfg).trace, solo_csv)
+        solo_header, *solo = solo_csv.read_text().splitlines()
         assert solo_header == header
         # plane i's rows are the solo solve's rows with `plane` set to i
         mine = [row for row in rows if row.split(",")[0] == str(i)]

@@ -408,9 +408,9 @@ def test_stack_trace_csv_holds_each_planes_solo_rows(tmp_path):
     header, *rows = (tmp_path / "t.csv").read_text().splitlines()
     solo_rows = 0
     for i, plane in enumerate(planes):
-        solo = tmp_path / "solo" / f"s{i}.csv"
-        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo)
-        solo_header, *solo = solo.read_text().splitlines()
+        solo_csv = tmp_path / "solo" / f"s{i}.csv"
+        write_trace_csv(splic_complete(plane, mask, SplicConfig()).trace, solo_csv)
+        solo_header, *solo = solo_csv.read_text().splitlines()
         assert solo_header == header
         # plane i's rows are the solo solve's rows with `plane` set to i
         mine = [row for row in rows if row.split(",")[0] == str(i)]
