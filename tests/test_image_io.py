@@ -399,8 +399,9 @@ def test_trace_csv_roundtrip_from_solver(tmp_path):
     assert float(first[2]) == res.trace.delta[0]
 
 
-def test_stack_trace_csv_holds_each_planes_solo_rows(tmp_path):
-    # a stack's trace once went to one file per plane, t.c0.csv, t.c1.csv
+def test_stack_trace_writes_one_csv_per_plane(tmp_path):
+    # a stack's trace once went to one file per plane, t.c0.csv, t.c1.csv;
+    # now the one t.csv holds, for each plane, the rows a solo CSV would
     planes = np.stack([make_test_image(i, 24) for i in range(2)])
     mask = generate_mask(24, 24, 0.5, 1)
     write_trace_csv(splic_complete(planes, mask, SplicConfig()).trace, tmp_path / "t.csv")
@@ -417,6 +418,22 @@ def test_stack_trace_csv_holds_each_planes_solo_rows(tmp_path):
         assert mine == [f"{i}," + row.split(",", 1)[1] for row in solo]
         solo_rows += len(solo)
     assert len(rows) == solo_rows
+
+
+def test_one_plane_of_a_stack_trace_writes_its_path(tmp_path):
+    planes = np.stack([make_test_image(i, 24) for i in range(2)])
+    mask = generate_mask(24, 24, 0.5, 1)
+    trace = splic_complete(planes, mask, SplicConfig()).trace
+    write_trace_csv(trace.for_plane(1), tmp_path / "p1.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv"]
+    solo = tmp_path / "solo" / "s.csv"
+    write_trace_csv(splic_complete(planes[1], mask, SplicConfig()).trace, solo)
+    header, *rows = (tmp_path / "p1.csv").read_text().splitlines()
+    solo_header, *solo_rows = solo.read_text().splitlines()
+    assert header == solo_header
+    # the solo solve's rows with `plane` set to 1
+    assert rows == ["1," + row.split(",", 1)[1] for row in solo_rows]
+    assert len(rows) > 0
 
 
 @pytest.mark.parametrize("solve", ["stack-with-zero-plane", "alternated"])
